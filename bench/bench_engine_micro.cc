@@ -15,6 +15,7 @@
 #include "model/optimum.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+#include "workload/executor.h"
 #include "workload/generator.h"
 
 namespace {
@@ -84,6 +85,27 @@ void BM_LsmScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LsmScan);
+
+// The sampler's worst build shape: a 4000-key bulk load through a 4-entry
+// write buffer at T = 10, so nearly every Put flushes a tiny run and most
+// runs are merged away before any lookup could reach them.
+void BM_LsmBulkLoadTinyBuffer(benchmark::State& state) {
+  camal::lsm::Options opts;
+  opts.entry_bytes = 128;
+  opts.buffer_bytes = 4 * 128;
+  opts.size_ratio = 10.0;
+  opts.bloom_bits = 10 * 4000;
+  const camal::workload::KeySpace keys(4000, 7);
+  for (auto _ : state) {
+    camal::sim::Device device(QuietDevice());
+    camal::lsm::LsmTree tree(opts, &device);
+    camal::workload::BulkLoad(&tree, keys);
+    benchmark::DoNotOptimize(device.elapsed_ns());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.num_keys()));
+}
+BENCHMARK(BM_LsmBulkLoadTinyBuffer)->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------------------------
 // Sharded serving engine: the same core operations through

@@ -200,6 +200,8 @@ RunPtr LsmTree::BuildRun(std::vector<Entry> entries, size_t target_level,
   const uint64_t blocks = run->num_blocks();
   for (uint64_t b = 0; b < blocks; ++b) device_->WriteBlock();
   counters_.compaction_block_writes += blocks;
+  // The run builds its filter on first probe, but the simulated cost of
+  // that build is charged here, when the run is written.
   device_->ChargeCpu(kBloomBuildNsPerEntry * static_cast<double>(n));
   device_->ChargeCpu(device_->config().cpu_file_finalize_ns *
                      static_cast<double>(run->num_files()));

@@ -34,8 +34,9 @@ class Memtable {
   /// hibernation, which must leave all cost clocks untouched.
   void LoadSorted(const std::vector<Entry>& entries);
 
-  /// Appends buffered entries with key in [start_key, +inf), in key order,
-  /// up to `max_entries`, into `out` (used by range scans; the caller merges
+  /// Appends at most `max_entries` buffered entries with key in
+  /// [start_key, +inf), in key order, to `out`; entries `out` already holds
+  /// do not count toward the limit (used by range scans; the caller merges
   /// with on-disk runs).
   void CollectFrom(uint64_t start_key, size_t max_entries,
                    std::vector<Entry>* out) const;

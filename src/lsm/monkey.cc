@@ -29,13 +29,18 @@ std::vector<double> MonkeyAllocate(
   for (uint64_t n : level_entries) any |= (n > 0);
   if (!any) return bpk;
 
-  // BitsForMu is monotone decreasing in mu; bisect in log space.
+  // BitsForMu is monotone decreasing in mu; bisect in log space. Once an
+  // iteration leaves (lo, hi) unchanged, every later one repeats it, so
+  // stopping there yields the same mu as running all 200 steps (the fixed
+  // point typically arrives within ~60).
   double lo = 1e-30, hi = 1e+6;
   for (int iter = 0; iter < 200; ++iter) {
     const double mid = std::sqrt(lo * hi);
     if (BitsForMu(mid, level_entries) > total_bits) {
+      if (mid == lo) break;
       lo = mid;
     } else {
+      if (mid == hi) break;
       hi = mid;
     }
   }

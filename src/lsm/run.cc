@@ -12,7 +12,7 @@ Run::Run(uint64_t id, std::vector<Entry> entries, uint64_t entries_per_block,
     : id_(id),
       entries_(std::move(entries)),
       entries_per_block_(std::max<uint64_t>(1, entries_per_block)),
-      filter_(entries_.size(), bloom_bits_per_key) {
+      bloom_bits_per_key_(bloom_bits_per_key) {
   CAMAL_CHECK(!entries_.empty());
   num_blocks_ = (entries_.size() + entries_per_block_ - 1) / entries_per_block_;
   if (file_bytes > 0) {
@@ -22,7 +22,18 @@ Run::Run(uint64_t id, std::vector<Entry> entries, uint64_t entries_per_block,
   } else {
     num_files_ = 1;
   }
-  for (const Entry& e : entries_) filter_.Add(e.key);
+  // Extra logical SST files add a small metadata binary-search overhead.
+  fence_depth_ = std::log2(static_cast<double>(num_blocks_) + 1) +
+                 std::log2(static_cast<double>(num_files_) + 1);
+  block_depth_ = std::log2(static_cast<double>(entries_per_block_) + 1);
+}
+
+const BloomFilter& Run::filter() const {
+  std::call_once(filter_once_, [this] {
+    filter_ = BloomFilter(entries_.size(), bloom_bits_per_key_);
+    for (const Entry& e : entries_) filter_.Add(e.key);
+  });
+  return filter_;
 }
 
 Run::LookupOutcome Run::Get(uint64_t key, Entry* out, sim::Device* device,
@@ -30,13 +41,10 @@ Run::LookupOutcome Run::Get(uint64_t key, Entry* out, sim::Device* device,
   const sim::DeviceConfig& cfg = device->config();
   device->ChargeCpu(cfg.cpu_bloom_probe_ns);
   if (key < min_key() || key > max_key()) return LookupOutcome::kFilteredOut;
-  if (!filter_.MayContain(key)) return LookupOutcome::kFilteredOut;
+  if (!filter().MayContain(key)) return LookupOutcome::kFilteredOut;
 
   // Fence-pointer binary search over blocks, then within-block search.
-  // Extra logical SST files add a small metadata binary-search overhead.
-  const double fence_depth = std::log2(static_cast<double>(num_blocks_) + 1) +
-                             std::log2(static_cast<double>(num_files_) + 1);
-  device->ChargeCpu(cfg.cpu_key_compare_ns * fence_depth);
+  device->ChargeCpu(cfg.cpu_key_compare_ns * fence_depth_);
 
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), key,
@@ -45,8 +53,7 @@ Run::LookupOutcome Run::Get(uint64_t key, Entry* out, sim::Device* device,
   // One block access regardless of hit or false positive: the filter said
   // "maybe", so the block must be fetched to know.
   ChargeBlockAccess(std::min(idx, entries_.size() - 1), device, cache);
-  device->ChargeCpu(cfg.cpu_key_compare_ns *
-                    std::log2(static_cast<double>(entries_per_block_) + 1));
+  device->ChargeCpu(cfg.cpu_key_compare_ns * block_depth_);
   if (it == entries_.end() || it->key != key) {
     return LookupOutcome::kNotFoundAfterIo;
   }
@@ -55,10 +62,7 @@ Run::LookupOutcome Run::Get(uint64_t key, Entry* out, sim::Device* device,
 }
 
 size_t Run::FirstGeq(uint64_t key, sim::Device* device) const {
-  const sim::DeviceConfig& cfg = device->config();
-  const double fence_depth = std::log2(static_cast<double>(num_blocks_) + 1) +
-                             std::log2(static_cast<double>(num_files_) + 1);
-  device->ChargeCpu(cfg.cpu_key_compare_ns * fence_depth);
+  device->ChargeCpu(device->config().cpu_key_compare_ns * fence_depth_);
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), key,
       [](const Entry& e, uint64_t k) { return e.key < k; });

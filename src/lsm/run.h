@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "lsm/block_cache.h"
@@ -18,6 +19,13 @@ namespace camal::lsm {
 /// Block contents live in memory, but every block touched on the read path
 /// is charged to the simulated device (through the block cache) and every
 /// block written at construction time is charged as a sequential write.
+///
+/// The Bloom filter is built on the first probe that passes the run's key
+/// range, not at construction: most runs of a bulk load with a small write
+/// buffer are merged away before any lookup reaches them. The filter's
+/// bits depend only on the entries and bits-per-key, so a lazily built
+/// filter answers every probe exactly as an eager one would, and the
+/// simulated build cost is charged by the caller when the run is made.
 class Run {
  public:
   enum class LookupOutcome {
@@ -59,7 +67,8 @@ class Run {
   size_t num_files() const { return num_files_; }
   uint64_t min_key() const { return entries_.front().key; }
   uint64_t max_key() const { return entries_.back().key; }
-  const BloomFilter& filter() const { return filter_; }
+  /// The run's Bloom filter, built on the first call. Thread-safe.
+  const BloomFilter& filter() const;
 
  private:
   size_t BlockOf(size_t idx) const { return idx / entries_per_block_; }
@@ -69,7 +78,13 @@ class Run {
   uint64_t entries_per_block_;
   size_t num_blocks_;
   size_t num_files_;
-  BloomFilter filter_;
+  double bloom_bits_per_key_;
+  /// Comparisons charged per fence-pointer search (blocks + SST files) and
+  /// per in-block search.
+  double fence_depth_;
+  double block_depth_;
+  mutable std::once_flag filter_once_;
+  mutable BloomFilter filter_;
 };
 
 using RunPtr = std::shared_ptr<const Run>;

@@ -127,5 +127,83 @@ TEST(MonkeyTest, MonkeyBeatsUniformAllocation) {
   EXPECT_LE(monkey_cost, uniform_cost + 1e-9);
 }
 
+// The bisection as it ran before it learned to stop at its fixed point:
+// always 200 log-space steps. Kept verbatim so the early stop in
+// MonkeyAllocate can be checked against it.
+std::vector<double> MonkeyAllocate200Steps(
+    double total_bits, const std::vector<uint64_t>& level_entries) {
+  constexpr double kLn2Sq = 0.4804530139182014;
+  auto bits_for_mu = [&](double mu) {
+    double bits = 0.0;
+    for (uint64_t n : level_entries) {
+      if (n == 0) continue;
+      const double p = mu * static_cast<double>(n);
+      if (p >= 1.0) continue;
+      bits += static_cast<double>(n) * (-std::log(p)) / kLn2Sq;
+    }
+    return bits;
+  };
+  std::vector<double> bpk(level_entries.size(), 0.0);
+  if (total_bits <= 0.0) return bpk;
+  bool any = false;
+  for (uint64_t n : level_entries) any |= (n > 0);
+  if (!any) return bpk;
+  double lo = 1e-30, hi = 1e+6;
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = std::sqrt(lo * hi);
+    if (bits_for_mu(mid) > total_bits) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double mu = std::sqrt(lo * hi);
+  for (size_t i = 0; i < level_entries.size(); ++i) {
+    const uint64_t n = level_entries[i];
+    if (n == 0) continue;
+    const double p = mu * static_cast<double>(n);
+    if (p >= 1.0) continue;
+    bpk[i] = -std::log(p) / kLn2Sq;
+  }
+  return bpk;
+}
+
+TEST(MonkeyTest, EarlyStopMatches200StepBisectionBitForBit) {
+  util::Random rng(2024);
+  constexpr int kVectors = 120000;
+  for (int v = 0; v < kVectors; ++v) {
+    // 0..8 levels; a quarter of them empty; sizes spread over 1..1e9.
+    std::vector<uint64_t> levels(rng.Uniform(9));
+    double total_entries = 0.0;
+    for (uint64_t& n : levels) {
+      if (rng.Bernoulli(0.25)) continue;
+      n = static_cast<uint64_t>(std::pow(10.0, 9.0 * rng.NextDouble())) + 1;
+      total_entries += static_cast<double>(n);
+    }
+    double budget = 0.0;
+    switch (rng.Uniform(5)) {
+      case 0:  // zero or negative
+        budget = rng.Bernoulli(0.5) ? 0.0 : -1.0;
+        break;
+      case 1:  // tiny: a few bits in total
+        budget = 16.0 * rng.NextDouble();
+        break;
+      case 2:  // huge: far past any useful bits-per-key
+        budget = 1e6 * (total_entries + 1.0) * (1.0 + rng.NextDouble());
+        break;
+      default:  // the usual range, 0..24 bits per key
+        budget = 24.0 * rng.NextDouble() * total_entries;
+        break;
+    }
+    const std::vector<double> got = MonkeyAllocate(budget, levels);
+    const std::vector<double> want = MonkeyAllocate200Steps(budget, levels);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "vector " << v << " level " << i
+                                 << " budget " << budget;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace camal::lsm

@@ -1,8 +1,10 @@
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "lsm/block_cache.h"
+#include "lsm/bloom.h"
 #include "lsm/compaction.h"
 #include "lsm/memtable.h"
 #include "lsm/run.h"
@@ -70,6 +72,20 @@ TEST(MemtableTest, CollectFromRespectsStartAndLimit) {
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].key, 40u);
   EXPECT_EQ(out[2].key, 60u);
+}
+
+TEST(MemtableTest, CollectFromLimitCountsOnlyAppendedEntries) {
+  sim::Device dev(QuietDevice());
+  Memtable mem;
+  for (uint64_t k = 1; k <= 10; ++k) mem.Put(k * 10, k, false, &dev);
+  std::vector<Entry> out = {Entry{1, 1, false}, Entry{2, 2, false}};
+  mem.CollectFrom(35, 3, &out);
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[1].key, 2u);  // earlier contents kept
+  EXPECT_EQ(out[2].key, 40u);
+  EXPECT_EQ(out[4].key, 60u);
+  mem.CollectFrom(0, 0, &out);
+  EXPECT_EQ(out.size(), 5u);
 }
 
 TEST(MemtableTest, ChargesCpu) {
@@ -145,6 +161,63 @@ TEST(RunTest, BlockAndFileCounts) {
   EXPECT_EQ(run.id(), 7u);
   EXPECT_EQ(run.min_key(), 2u);
   EXPECT_EQ(run.max_key(), 200u);
+}
+
+TEST(RunTest, LazyFilterMatchesEagerFilter) {
+  sim::Device dev(QuietDevice());
+  const std::vector<Entry> entries = MakeEntries(3000, 6);
+  ::camal::lsm::Run run(1, entries, 8, 9.3, 128, 0);
+  Entry e;
+  run.Get(600, &e, &dev, nullptr);  // first probe inside the key range
+  BloomFilter eager(entries.size(), 9.3);
+  for (const Entry& x : entries) eager.Add(x.key);
+  EXPECT_EQ(run.filter().words(), eager.words());
+  EXPECT_EQ(run.filter().memory_bits(), eager.memory_bits());
+  EXPECT_EQ(run.filter().num_hashes(), eager.num_hashes());
+}
+
+// Probes key range [1, 2 * n + 2] of a run with even keys 2..2n: hits,
+// in-range misses and the ends. Returns the outcomes and charges `dev`.
+std::vector<Run::LookupOutcome> ProbeAll(const Run& run, int n,
+                                         sim::Device* dev) {
+  std::vector<Run::LookupOutcome> outcomes;
+  for (uint64_t k = 1; k <= 2 * static_cast<uint64_t>(n) + 2; ++k) {
+    Entry e;
+    outcomes.push_back(run.Get(k, &e, dev, nullptr));
+  }
+  return outcomes;
+}
+
+TEST(RunTest, ConcurrentFirstProbesMatchSerialRun) {
+  constexpr int kEntries = 4000;
+  constexpr int kThreads = 8;
+  const ::camal::lsm::Run serial(1, MakeEntries(kEntries), 8, 7.0, 128, 0);
+  sim::Device serial_dev(QuietDevice());
+  const std::vector<Run::LookupOutcome> want =
+      ProbeAll(serial, kEntries, &serial_dev);
+
+  // A fresh run whose filter does not exist yet: every thread races to
+  // build it on its first probe.
+  const ::camal::lsm::Run shared(1, MakeEntries(kEntries), 8, 7.0, 128, 0);
+  std::vector<std::vector<Run::LookupOutcome>> got(kThreads);
+  std::vector<double> elapsed(kThreads);
+  std::vector<uint64_t> reads(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      sim::Device dev(QuietDevice());
+      got[t] = ProbeAll(shared, kEntries, &dev);
+      elapsed[t] = dev.elapsed_ns();
+      reads[t] = dev.block_reads();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], want) << "thread " << t;
+    EXPECT_EQ(elapsed[t], serial_dev.elapsed_ns()) << "thread " << t;
+    EXPECT_EQ(reads[t], serial_dev.block_reads()) << "thread " << t;
+  }
+  EXPECT_EQ(shared.filter().words(), serial.filter().words());
 }
 
 TEST(CompactionTest, MergeShadowingNewestWins) {

@@ -1,0 +1,153 @@
+// Bit-identity fingerprint of the simulated engine.
+//
+// Every simulated clock, counter and latency this repository reports must be
+// reproducible to the last bit: figure goldens, the perfbench exact-value
+// records and every equality suite depend on it. This suite pins a small set
+// of those values as hex-float literals, so a change to the LSM build or read
+// path that claims "identical results" has to prove it here. A mismatch
+// prints the value found in the same hex form. Only re-capture the literals
+// for a change that is meant to move simulated results, and say so in its
+// description.
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "camal/evaluator.h"
+#include "camal/sample.h"
+#include "engine/sharded_engine.h"
+#include "model/workload_spec.h"
+#include "workload/executor.h"
+#include "workload/generator.h"
+
+namespace camal {
+namespace {
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+#define EXPECT_BITS(got, want) \
+  EXPECT_EQ(got, want) << #got << " = " << Hex(got)
+
+model::WorkloadSpec MixedWorkload() {
+  model::WorkloadSpec w;
+  w.v = 0.2;
+  w.r = 0.3;
+  w.q = 0.2;
+  w.w = 0.3;
+  return w;
+}
+
+tune::SystemSetup FingerprintSetup() {
+  tune::SystemSetup base;
+  base.num_shards = 4;
+  base.shard_skew = 0.8;
+  return tune::ScaledDown(base, 10);
+}
+
+struct SampleCase {
+  tune::TuningConfig config;
+  uint64_t salt;
+  double mean_latency_ns;
+  double p90_latency_ns;
+  double ios_per_op;
+  double cost_ns;
+};
+
+std::vector<SampleCase> SampleCases(const tune::SystemSetup& setup) {
+  const double m = static_cast<double>(setup.total_memory_bits);
+  const double n = static_cast<double>(setup.num_entries);
+  std::vector<SampleCase> cases(3);
+
+  // Leveling, 10 bits/key of filters, the rest to the write buffer.
+  cases[0].config.policy = lsm::CompactionPolicy::kLeveling;
+  cases[0].config.size_ratio = 10.0;
+  cases[0].config.mf_bits = 10.0 * n;
+  cases[0].config.mb_bits = m - cases[0].config.mf_bits;
+  cases[0].salt = 1;
+  cases[0].mean_latency_ns = 0x1.b57304dd809ecp+17;
+  cases[0].p90_latency_ns = 0x1.c52aedf673c33p+19;
+  cases[0].ios_per_op = 0x1.52624dd2f1aap+1;
+  cases[0].cost_ns = 0x1.00ba4dac18d85p+31;
+
+  // Tiering with a block cache and split SST files.
+  cases[1].config.policy = lsm::CompactionPolicy::kTiering;
+  cases[1].config.size_ratio = 4.0;
+  cases[1].config.mf_bits = 5.0 * n;
+  cases[1].config.mb_bits = 0.25 * m;
+  cases[1].config.mc_bits = m - cases[1].config.mf_bits -
+                            cases[1].config.mb_bits;
+  cases[1].config.file_bytes = 128 * 64;
+  cases[1].salt = 2;
+  cases[1].mean_latency_ns = 0x1.7d46ffc54507dp+18;
+  cases[1].p90_latency_ns = 0x1.a2a1d1dbfbp+20;
+  cases[1].ios_per_op = 0x1.1a5e353f7cedap+2;
+  cases[1].cost_ns = 0x1.9d9201788af34p+31;
+
+  // No buffer memory: TuningConfig::ToOptions clamps the write buffer to
+  // its 4-entry floor (one entry per shard here), the smallest and most
+  // run-heavy shape a sampler can build.
+  cases[2].config.policy = lsm::CompactionPolicy::kLeveling;
+  cases[2].config.size_ratio = 6.0;
+  cases[2].config.mf_bits = m;
+  cases[2].config.mb_bits = 0.0;
+  cases[2].salt = 3;
+  cases[2].mean_latency_ns = 0x1.f082c97d7408ap+17;
+  cases[2].p90_latency_ns = 0x1.a6913ce2d4066p+19;
+  cases[2].ios_per_op = 0x1.c9df3b645a1cbp+1;
+  cases[2].cost_ns = 0x1.a9a95a746c03p+31;
+  return cases;
+}
+
+TEST(SimFingerprintTest, EvaluatorSamplesAreBitIdentical) {
+  const tune::SystemSetup setup = FingerprintSetup();
+  ASSERT_EQ(setup.num_entries, 4000u);
+  const tune::Evaluator evaluator(setup);
+  for (const SampleCase& c : SampleCases(setup)) {
+    SCOPED_TRACE(c.config.ToString());
+    const tune::Sample s =
+        evaluator.MakeSample(MixedWorkload(), c.config, c.salt);
+    EXPECT_BITS(s.mean_latency_ns, c.mean_latency_ns);
+    EXPECT_BITS(s.p90_latency_ns, c.p90_latency_ns);
+    EXPECT_BITS(s.ios_per_op, c.ios_per_op);
+    EXPECT_BITS(s.cost_ns, c.cost_ns);
+  }
+}
+
+TEST(SimFingerprintTest, BulkLoadThenMixedRunIsBitIdentical) {
+  lsm::Options opts;
+  opts.entry_bytes = 128;
+  opts.buffer_bytes = 128 * 16;  // 4 entries per shard
+  opts.size_ratio = 4.0;
+  opts.bloom_bits = 8 * 16000;
+  opts.block_cache_bytes = 64 * 1024;
+  opts.file_bytes = 128 * 64;
+  engine::ShardedEngine eng(4, opts, sim::DeviceConfig{});
+
+  workload::KeySpace keys(16000, 7);
+  workload::BulkLoad(&eng, keys);
+  workload::ExecutorConfig exec;
+  exec.num_ops = 20000;
+  exec.seed = 11;
+  workload::Execute(&eng, MixedWorkload(), exec, &keys);
+
+  const sim::DeviceSnapshot cost = eng.CostSnapshot();
+  EXPECT_EQ(cost.block_reads, 61348u);
+  EXPECT_EQ(cost.block_writes, 15441u);
+  EXPECT_BITS(cost.elapsed_ns, 0x1.4424595b8bcb2p+32);
+
+  const engine::EngineCounters counters = eng.AggregateCounters();
+  EXPECT_EQ(counters.compaction_block_reads, 14774u);
+  EXPECT_EQ(counters.compaction_block_writes, 15441u);
+  EXPECT_EQ(counters.transition_ios, 0u);
+  EXPECT_EQ(counters.flushes, 5507u);
+  EXPECT_EQ(counters.merges, 5487u);
+}
+
+}  // namespace
+}  // namespace camal
