@@ -4,7 +4,7 @@
 #include <limits>
 #include <set>
 
-#include "engine/sharded_engine.h"
+#include "engine/shard_host.h"
 #include "model/arbitration.h"
 #include "model/optimum.h"
 #include "util/status.h"
@@ -25,7 +25,7 @@ MemoryArbiter::MemoryArbiter(const SystemSetup& setup,
   // drops remainders system-wide, so the conserved total is the sum of
   // the shares, not the nominal system budget).
   const engine::ShardBudget even = engine::ShardBudget::FromOptions(
-      engine::ShardedEngine::ShardOptions(total_options, num_shards));
+      engine::ShardHost::ShardOptions(total_options, num_shards));
   num_shards_ = num_shards;
   even_share_bits_ = even.TotalBits();
   total_bits_ = even_share_bits_ * num_shards;

@@ -54,7 +54,7 @@ struct ArbiterOptions {
 /// never grow), every shard keeps at least its floor, and the arbiter
 /// talks only to the `StorageEngine` surface (`ShardOptionsSnapshot`,
 /// `ShardEntries`, `ReconfigureShard`) — it works unchanged against any
-/// backend, simulated or real-IO. The arbiter is a `workload::BatchHook`:
+/// backend, simulated or real-IO. The arbiter is a `workload::BatchObserver`:
 /// attach it to an `ExecutorConfig` (static serving, `Evaluator` with
 /// `SystemSetup::arbitration`) or to a `DynamicTuner` (dynamic serving,
 /// composing with per-shard retunes, which then respect arbitrated
@@ -74,7 +74,7 @@ struct ArbiterOptions {
 /// bit-identical to a flat dense arbiter.
 ///
 /// **Thread-safety.** Externally synchronized, like the engine it
-/// arbitrates: `OnBatch` fires on the execution thread between batches,
+/// arbitrates: `OnBatchEvent` fires on the execution thread between batches,
 /// never concurrently with operations.
 ///
 /// **Determinism.** All decisions are a deterministic function of the
@@ -82,11 +82,11 @@ struct ArbiterOptions {
 /// op-mix windows, not on measured cost clocks — see `Rebalance`), so a
 /// run with an arbiter attached is reproducible on the simulated backend
 /// and produces identical budget trajectories on the real backend.
-class MemoryArbiter : public workload::BatchHook {
+class MemoryArbiter : public workload::BatchObserver {
  public:
   /// `total_options` is the system-wide configuration whose memory the
   /// arbiter conserves; starting per-shard budgets are the engine's even
-  /// split of it (`ShardedEngine::ShardOptions` floor division), so an
+  /// split of it (`ShardHost::ShardOptions` floor division), so an
   /// arbiter that never moves memory changes nothing. `setup` supplies
   /// the model basis (entry size, block size, scan selectivity).
   MemoryArbiter(const SystemSetup& setup, const lsm::Options& total_options,
@@ -106,10 +106,10 @@ class MemoryArbiter : public workload::BatchHook {
   /// number of shards reconfigured.
   size_t Rebalance(engine::StorageEngine* engine);
 
-  /// BatchHook: accounts the batch per shard and rebalances when a window
-  /// has elapsed.
+  /// Accounts one generator-driven batch per shard and rebalances when a
+  /// window has elapsed.
   void OnBatch(engine::StorageEngine* engine, const workload::Operation* ops,
-               size_t count) override;
+               size_t count);
 
   /// BatchObserver: executor-driven events (`event.ops` set) take the
   /// `OnBatch` path unchanged; gateway-driven events (`event.ops` null —

@@ -15,17 +15,17 @@
 #include <limits>
 #include <list>
 #include <map>
+#include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "engine/io_ring.h"
 #include "engine/manifest.h"
-#include "engine/sharded_engine.h"
 #include "lsm/bloom.h"
-#include "util/random.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace camal::engine {
 
@@ -75,14 +75,6 @@ inline double NowNs() {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Profiling-clock read: the injected virtual clock when one is
-/// configured, the steady monotonic clock otherwise. Every timing site of
-/// the engine reads through this so tests can make measured latencies
-/// deterministic.
-inline double Now(const FileEngineConfig& cfg) {
-  return cfg.clock_ns ? cfg.clock_ns() : NowNs();
 }
 
 /// An immutable cached block. Shared ownership lets cache hits hand the
@@ -222,8 +214,42 @@ inline int OpenRead(const std::string& path, bool direct) {
 
 /// One shard: a file set (levels of runs) plus memtable, Bloom filters,
 /// content cache, live options, and its own cost clock. All state is
-/// shard-local so per-shard submission lists can run concurrently.
-struct FileEngine::Shard {
+/// shard-local so per-shard submission lists can run concurrently. The
+/// `ShardStore` methods are defined after the file-set helpers below.
+struct FileEngine::Shard final : public ShardStore {
+  Shard(const FileEngine& owner, size_t index) : owner(owner), index(index) {}
+  /// Clean close: buffered WAL writes land (and, per policy, sync) so
+  /// `reopen=true` restores the exact logical state; run files close.
+  ~Shard() override {
+    if (wal != nullptr) wal->Commit();
+  }
+
+  void Open(const lsm::Options& opts) override;
+  void Freeze() override;
+  void Thaw() override;
+  void Write(uint64_t key, uint64_t value, bool tombstone) override;
+  bool Get(uint64_t key, uint64_t* value) override;
+  size_t Scan(uint64_t start_key, size_t max_entries,
+              std::vector<lsm::Entry>* out) override;
+  void RunOps(const Op* ops, const std::vector<size_t>& list,
+              OpResult* results, ScanProbe* probes) override;
+  void Flush() override;
+  void Reconfigure(const lsm::Options& opts) override;
+  bool ReconfigureFrozen(const lsm::Options& opts) override;
+  bool FrozenHasBufferedWrites() const override {
+    return hib_memtable_size > 0;
+  }
+  lsm::Options CurrentOptions() const override { return options; }
+  sim::DeviceSnapshot Cost() const override { return clock.Snapshot(); }
+  EngineCounters Counters() const override { return counters; }
+  uint64_t TotalEntries() const override {
+    return disk_entries + (hibernated ? hib_memtable_size : memtable.size());
+  }
+  uint64_t DiskEntries() const override { return disk_entries; }
+  bool InTransition() const override;
+
+  const FileEngine& owner;
+  const size_t index;
   lsm::Options options;
   std::string dir;
   std::map<uint64_t, lsm::Entry> memtable;
@@ -265,7 +291,6 @@ struct FileEngine::Shard {
   uint64_t hib_memtable_size = 0;
   /// Per-level (run count, entry count) at hibernation time.
   std::vector<std::pair<size_t, uint64_t>> hib_level_shape;
-  uint64_t last_touch_epoch = ~uint64_t{0};  // sentinel: never touched
 };
 
 namespace {
@@ -277,7 +302,6 @@ using fileio::EntriesPerBlock;
 using fileio::FileRun;
 using fileio::FileRunPtr;
 using fileio::kTombstoneFlag;
-using fileio::Now;
 using fileio::NowNs;
 using fileio::SysCheck;
 using fileio::ToEntry;
@@ -407,10 +431,8 @@ FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     off += static_cast<size_t>(n);
   }
   // A run must be durable before the manifest record that references it
-  // commits; `sync_files` keeps its original meaning independently.
-  if (cfg.sync_files || DurableSync(cfg)) {
-    SysCheck(ops->Fsync(fd) == 0, "fsync", run->path);
-  }
+  // commits.
+  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync", run->path);
   ops->Close(fd);
   sh.clock.block_writes += num_blocks;
 
@@ -422,14 +444,6 @@ uint64_t LevelEntries(const std::vector<FileRunPtr>& level) {
   uint64_t total = 0;
   for (const FileRunPtr& r : level) total += r->num_entries;
   return total;
-}
-
-bool LevelViolates(const lsm::Options& opts,
-                   const std::vector<FileRunPtr>& level, size_t level_idx) {
-  if (level.empty()) return false;
-  if (level.size() > static_cast<size_t>(opts.MaxRunsPerLevel())) return true;
-  return static_cast<double>(LevelEntries(level)) >
-         opts.LevelCapacityEntries(static_cast<int>(level_idx));
 }
 
 /// Bits-per-key for a new run: the shard's Bloom budget spread uniformly
@@ -526,7 +540,8 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                bool direct_io) {
   for (size_t l = 0; l < sh.levels.size(); ++l) {
-    while (LevelViolates(sh.options, sh.levels[l], l)) {
+    while (sh.options.LevelViolates(l, sh.levels[l].size(),
+                                    LevelEntries(sh.levels[l]))) {
       MergeLevelDown(sh, cfg, direct_io, l);
     }
   }
@@ -616,20 +631,33 @@ bool DoGet(FileEngine::Shard& sh, const FileEngineConfig& cfg, uint64_t key,
   return false;
 }
 
-/// Resolves the shard's effective queue depth (shard options override the
-/// engine default when nonzero) and (re)builds its ring + slot buffers.
+/// The queue depth a shard running `options` resolves: shard options
+/// override the engine default when nonzero. Also answers queue-depth and
+/// backend queries for shards that have no live ring state yet (cold) or
+/// released it (hibernated).
+uint32_t ResolvedQueueDepth(const lsm::Options& options,
+                            const FileEngineConfig& cfg) {
+  return std::max<uint32_t>(
+      1, options.io_queue_depth > 0
+             ? static_cast<uint32_t>(options.io_queue_depth)
+             : cfg.io_queue_depth);
+}
+
+bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
+                     bool engine_uring) {
+  return engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
+}
+
+/// Resolves the shard's effective queue depth and (re)builds its ring +
+/// slot buffers.
 /// The ring engages when the engine-level probe passed and either the
 /// mode forces it (kUring) or overlap is actually requested (depth > 1);
 /// kAuto at depth 1 keeps today's pread behavior byte for byte. A no-op
 /// when nothing changed, so arbiter-driven reconfigs stay cheap.
 void SetupShardRing(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     bool engine_uring) {
-  const uint32_t depth = std::max<uint32_t>(
-      1, sh.options.io_queue_depth > 0
-             ? static_cast<uint32_t>(sh.options.io_queue_depth)
-             : cfg.io_queue_depth);
-  const bool engage =
-      engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
+  const uint32_t depth = ResolvedQueueDepth(sh.options, cfg);
+  const bool engage = RingWouldEngage(depth, cfg, engine_uring);
   if (depth == sh.io_depth && engage == (sh.ring != nullptr)) return;
   sh.io_depth = depth;
   sh.ring.reset();
@@ -642,22 +670,6 @@ void SetupShardRing(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   for (uint32_t i = 0; i < depth; ++i) {
     sh.ring_bufs.push_back(AllocAligned(cfg.block_bytes, cfg.block_bytes));
   }
-}
-
-/// The queue depth `SetupShardRing` would resolve for `options` — used to
-/// answer queue-depth/backend queries for shards that have no live ring
-/// state yet (cold) or released it (hibernated).
-uint32_t ResolvedQueueDepth(const lsm::Options& options,
-                            const FileEngineConfig& cfg) {
-  return std::max<uint32_t>(
-      1, options.io_queue_depth > 0
-             ? static_cast<uint32_t>(options.io_queue_depth)
-             : cfg.io_queue_depth);
-}
-
-bool RingWouldEngage(uint32_t depth, const FileEngineConfig& cfg,
-                     bool engine_uring) {
-  return engine_uring && (cfg.io_mode == IoMode::kUring || depth > 1);
 }
 
 constexpr uint64_t kSnapMagic = 0x43414d5348494253ULL;  // "CAMSHIBS"
@@ -855,7 +867,13 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     const uint64_t run_id = ckey >> 22;
     const uint64_t blk = ckey & ((1ULL << 22) - 1);
     const auto rit = run_by_id.find(run_id);
-    CAMAL_CHECK(rit != run_by_id.end());
+    if (rit == run_by_id.end()) {
+      // A block of a run a compaction has since deleted. Run ids are never
+      // reused, so it is never read again, but it still holds an LRU slot
+      // in a shard that never slept — so it holds one here too.
+      sh.cache.Insert(ckey, nullptr);
+      continue;
+    }
     const FileRun& run = *rit->second;
     const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
                               static_cast<off_t>(blk * cfg.block_bytes));
@@ -904,7 +922,7 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                       OpResult* results) {
   const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
   const uint32_t depth = sh.io_depth;
-  const double t0 = Now(cfg);
+  const double t0 = NowNs();
 
   // Flattened probe order: runs newest-first within each level, levels
   // top-down — exactly the order DoGet walks.
@@ -1089,7 +1107,7 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     r.ios = ios;
     results[op_idx[si]] = r;
   }
-  const double dt = Now(cfg) - t0;
+  const double dt = NowNs() - t0;
   sh.clock.elapsed_ns += dt;
   const double per_op = dt / static_cast<double>(window);
   for (size_t si = 0; si < window; ++si) {
@@ -1209,8 +1227,8 @@ uint64_t FileEngine::NextUniqueId() {
 
 FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
                        const FileEngineConfig& config)
-    : config_(config) {
-  CAMAL_CHECK(num_shards >= 1);
+    : ShardHost(num_shards, total_options, config.lifecycle),
+      config_(config) {
   CAMAL_CHECK(config_.block_bytes >= 512 &&
               (config_.block_bytes & (config_.block_bytes - 1)) == 0);
   // Normalize the durability knobs once: reopening implies the layer is
@@ -1249,29 +1267,17 @@ FileEngine::FileEngine(size_t num_shards, const lsm::Options& total_options,
   // (SetupShardRing); everything else falls back to pread automatically.
   use_uring_ = config_.io_mode != IoMode::kPread && fileio::IoRingSupported();
 
-  default_options_ = ShardedEngine::ShardOptions(total_options, num_shards);
-  num_shards_ = num_shards;  // no slots yet: all shards cold
   if (config_.reopen) RecoverShards();
-  if (!config_.lifecycle.lazy) {
-    for (size_t s = 0; s < num_shards; ++s) MaterializeShard(s);
-  }
+  MaterializeIfEager();
 }
 
 FileEngine::~FileEngine() {
-  // Clean close: anything still buffered in a WAL lands (and, per policy,
-  // syncs) so `reopen=true` restores the exact logical state. Hibernated
-  // shards committed theirs when they went to sleep.
-  if (config_.durable) {
-    for (auto& [s, sh] : shards_) {
-      (void)s;
-      if (sh->wal != nullptr) sh->wal->Commit();
-    }
-  }
-  // Close every run fd before touching the directory tree.
-  for (auto& [s, sh] : shards_) {
-    (void)s;
-    for (auto& level : sh->levels) level.clear();
-  }
+  std::vector<std::string> dirs;
+  for (size_t s : StoreIds()) dirs.push_back(ShardPtr(s)->dir);
+  // Destroying a shard commits its WAL and closes its run files, before
+  // the directory tree is touched. Hibernated shards committed theirs
+  // when they went to sleep.
+  ReleaseStores();
   if (config_.keep_files) return;
   std::error_code ec;
   if (created_workdir_) {
@@ -1279,10 +1285,7 @@ FileEngine::~FileEngine() {
   } else {
     // The caller owned the directory before us: remove only our shard
     // subtrees, never sibling content. Cold shards never created theirs.
-    for (const auto& [s, sh] : shards_) {
-      (void)s;
-      fs::remove_all(sh->dir, ec);
-    }
+    for (const std::string& dir : dirs) fs::remove_all(dir, ec);
   }
 }
 
@@ -1298,7 +1301,7 @@ void FileEngine::RecoverShards() {
     char* end = nullptr;
     const unsigned long long s = std::strtoull(name.c_str() + 6, &end, 10);
     if (end == nullptr || *end != '\0') continue;  // not ours
-    CAMAL_CHECK(s < num_shards_);  // reopened with a smaller shard count
+    CAMAL_CHECK(s < NumShards());  // reopened with a smaller shard count
     found.emplace_back(static_cast<size_t>(s), entry.path().string());
   }
   // Deterministic recovery order (directory iteration order is not).
@@ -1318,7 +1321,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     return;
   }
 
-  auto sh = std::make_unique<Shard>();
+  auto sh = std::make_unique<Shard>(*this, s);
   sh->options = st.options;
   sh->dir = dir;
   sh->wal_epoch = st.wal_epoch;
@@ -1366,8 +1369,7 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
       fileio::Manifest temp(ops, dir, sync, st.num_records);
       temp.TruncateTail(st.valid_bytes);
     }
-    shards_.emplace(s, std::move(sh));
-    hibernated_.insert(s);
+    AdoptStore(s, std::move(sh), ShardState::kHibernated);
     return;
   }
 
@@ -1428,436 +1430,192 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
   sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
   SetupShardRing(*sh, config_, use_uring_);
-  shards_.emplace(s, std::move(sh));
-  resident_.insert(s);
+  AdoptStore(s, std::move(sh), ShardState::kMaterialized);
 }
 
-FileEngine::Shard* FileEngine::ShardPtr(size_t s) {
-  const auto it = shards_.find(s);
-  return it == shards_.end() ? nullptr : it->second.get();
+std::unique_ptr<ShardStore> FileEngine::NewStore(size_t s) {
+  return std::make_unique<Shard>(*this, s);
 }
+
 const FileEngine::Shard* FileEngine::ShardPtr(size_t s) const {
-  const auto it = shards_.find(s);
-  return it == shards_.end() ? nullptr : it->second.get();
+  CAMAL_CHECK(s < NumShards());
+  return static_cast<const Shard*>(FindStore(s));
 }
 
-FileEngine::Shard& FileEngine::shard(size_t s) {
-  CAMAL_CHECK(s < num_shards_);
-  Shard* sh = ShardPtr(s);
-  CAMAL_CHECK(sh != nullptr);
-  return *sh;
-}
-const FileEngine::Shard& FileEngine::shard(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  CAMAL_CHECK(sh != nullptr);
-  return *sh;
-}
+// ------------------------------------------------------------- shard store
 
-const lsm::Options& FileEngine::EffectiveOptions(size_t s) const {
-  const auto it = cold_options_.find(s);
-  return it != cold_options_.end() ? it->second : default_options_;
-}
-
-FileEngine::Shard& FileEngine::MaterializeShard(size_t s) {
-  CAMAL_CHECK(s < num_shards_);
-  if (Shard* existing = ShardPtr(s)) {
-    if (existing->hibernated) {
-      WakeShardState(*existing, config_, direct_io_, use_uring_);
-      hibernated_.erase(s);
-      resident_.insert(s);
-    }
-    return *existing;
-  }
-  auto sh = std::make_unique<Shard>();
-  const auto it = cold_options_.find(s);
-  sh->options = it != cold_options_.end() ? it->second : default_options_;
-  if (it != cold_options_.end()) cold_options_.erase(it);
-  sh->dir = workdir_ + "/shard_" + std::to_string(s);
+void FileEngine::Shard::Open(const lsm::Options& opts) {
+  const FileEngineConfig& cfg = owner.config_;
+  options = opts;
+  dir = owner.workdir_ + "/shard_" + std::to_string(index);
   std::error_code ec;
-  fs::create_directories(sh->dir, ec);
-  SysCheck(!ec, "create_directories", sh->dir);
-  if (config_.durable) {
+  fs::create_directories(dir, ec);
+  SysCheck(!ec, "create_directories", dir);
+  if (cfg.durable) {
     // A fresh shard starts fresh logs; stale files from an earlier engine
     // in a reused directory (reopen=false deliberately ignores them) must
     // not be appended to.
-    config_.file_ops->Unlink(fileio::Manifest::PathFor(sh->dir));
-    config_.file_ops->Unlink(fileio::Wal::PathFor(sh->dir));
-    sh->manifest = std::make_unique<fileio::Manifest>(
-        config_.file_ops, sh->dir, DurableSync(config_));
-    sh->manifest->LogInit(s, sh->options);
-    sh->wal = std::make_unique<fileio::Wal>(config_.file_ops, sh->dir,
-                                            config_.wal_sync);
+    cfg.file_ops->Unlink(fileio::Manifest::PathFor(dir));
+    cfg.file_ops->Unlink(fileio::Wal::PathFor(dir));
+    manifest = std::make_unique<fileio::Manifest>(cfg.file_ops, dir,
+                                                  DurableSync(cfg));
+    manifest->LogInit(index, options);
+    wal = std::make_unique<fileio::Wal>(cfg.file_ops, dir, cfg.wal_sync);
   }
-  sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
-  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
-  sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(*sh, config_, use_uring_);
-  Shard& live = *sh;
-  shards_.emplace(s, std::move(sh));
-  resident_.insert(s);
-  return live;
+  cache.Resize(options.block_cache_bytes / cfg.block_bytes);
+  scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
+  io_depth = 0;  // force SetupShardRing to resolve from scratch
+  SetupShardRing(*this, cfg, owner.use_uring_);
 }
 
-void FileEngine::HibernateShardAt(size_t s) {
-  Shard& sh = shard(s);
-  CAMAL_CHECK(!sh.hibernated);
-  HibernateShardState(sh, config_);
-  resident_.erase(s);
-  hibernated_.insert(s);
+void FileEngine::Shard::Freeze() {
+  HibernateShardState(*this, owner.config_);
 }
 
-void FileEngine::WakeAllHibernated() {
-  while (!hibernated_.empty()) MaterializeShard(*hibernated_.begin());
+void FileEngine::Shard::Thaw() {
+  WakeShardState(*this, owner.config_, owner.direct_io_, owner.use_uring_);
 }
 
-void FileEngine::Touch(size_t s) {
-  if (config_.lifecycle.hibernate_after_batches == 0) return;
-  Shard& sh = *shards_.at(s);
-  if (sh.last_touch_epoch == epoch_) return;
-  sh.last_touch_epoch = epoch_;
-  idle_queue_.emplace_back(s, epoch_);
+void FileEngine::Shard::Write(uint64_t key, uint64_t value, bool tombstone) {
+  const double t0 = NowNs();
+  DoPut(*this, owner.config_, owner.direct_io_, key, value, tombstone);
+  if (wal != nullptr) wal->Commit();  // single-op "batch"
+  clock.elapsed_ns += NowNs() - t0;
 }
 
-void FileEngine::HibernateIdleShards() {
-  const uint64_t window = config_.lifecycle.hibernate_after_batches;
-  while (!idle_queue_.empty() &&
-         idle_queue_.front().second + window <= epoch_) {
-    const auto [s, touched] = idle_queue_.front();
-    idle_queue_.pop_front();
-    // Lazy deletion: only the newest timer of a still-resident shard
-    // hibernates it.
-    const Shard* sh = ShardPtr(s);
-    if (sh != nullptr && !sh->hibernated && sh->last_touch_epoch == touched) {
-      HibernateShardAt(s);
-    }
-  }
-}
-
-size_t FileEngine::NumShards() const { return num_shards_; }
-
-size_t FileEngine::ShardIndex(uint64_t key) const {
-  if (num_shards_ == 1) return 0;
-  return static_cast<size_t>(util::Mix64(key) % num_shards_);
-}
-
-// ------------------------------------------------------------ public surface
-
-void FileEngine::Put(uint64_t key, uint64_t value) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
-  const double t0 = Now(config_);
-  DoPut(sh, config_, direct_io_, key, value, /*tombstone=*/false);
-  if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
-  sh.clock.elapsed_ns += Now(config_) - t0;
-}
-
-void FileEngine::Delete(uint64_t key) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
-  const double t0 = Now(config_);
-  DoPut(sh, config_, direct_io_, key, 0, /*tombstone=*/true);
-  if (sh.wal != nullptr) sh.wal->Commit();  // single-op "batch"
-  sh.clock.elapsed_ns += Now(config_) - t0;
-}
-
-bool FileEngine::Get(uint64_t key, uint64_t* value) {
-  const size_t s = ShardIndex(key);
-  Shard& sh = MaterializeShard(s);
-  Touch(s);
-  const double t0 = Now(config_);
-  const bool found = DoGet(sh, config_, key, value);
-  sh.clock.elapsed_ns += Now(config_) - t0;
+bool FileEngine::Shard::Get(uint64_t key, uint64_t* value) {
+  const double t0 = NowNs();
+  const bool found = DoGet(*this, owner.config_, key, value);
+  clock.elapsed_ns += NowNs() - t0;
   return found;
 }
 
-size_t FileEngine::Scan(uint64_t start_key, size_t max_entries,
-                        std::vector<lsm::Entry>* out) {
-  if (num_shards_ == 1) {
-    Shard& sh = MaterializeShard(0);
-    Touch(0);
-    const double t0 = Now(config_);
-    const size_t n = DoScanShard(sh, config_, start_key, max_entries, out);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-    return n;
-  }
-  if (max_entries == 0) return 0;
-
-  // Scans consult every data-holding shard: hibernated shards wake, cold
-  // shards are skipped (an empty shard contributes nothing and performs
-  // no reads).
-  WakeAllHibernated();
-  const std::vector<size_t> probed(resident_.begin(), resident_.end());
-  for (size_t s : probed) Touch(s);
-
-  // Scatter: every resident shard contributes its own sorted slice (key
-  // sets are hash-partitioned and disjoint), each probe timed on its own
-  // clock. Shard slots resolve before the fan-out — workers never touch
-  // the shard map.
-  std::vector<Shard*> probed_slot(probed.size());
-  for (size_t k = 0; k < probed.size(); ++k) {
-    probed_slot[k] = shards_.at(probed[k]).get();
-  }
-  std::vector<std::vector<lsm::Entry>> slices(probed.size());
-  util::ParallelFor(pool_, 0, probed.size(), [&](size_t k) {
-    Shard& sh = *probed_slot[k];
-    const double t0 = Now(config_);
-    DoScanShard(sh, config_, start_key, max_entries, &slices[k]);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-  });
-
-  // Gather: binary-heap k-way merge of the disjoint sorted slices.
-  return MergeDisjointSlices(slices, max_entries, out);
+size_t FileEngine::Shard::Scan(uint64_t start_key, size_t max_entries,
+                               std::vector<lsm::Entry>* out) {
+  const double t0 = NowNs();
+  const size_t n = DoScanShard(*this, owner.config_, start_key, max_entries,
+                               out);
+  clock.elapsed_ns += NowNs() - t0;
+  return n;
 }
 
-void FileEngine::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
-  if (count == 0) return;
-  ++epoch_;
-
-  // Pass 1: bring every shard this batch drives to the materialized
-  // state. Scans additionally wake all hibernated shards — their file
-  // sets participate in every range probe — while cold shards stay cold
-  // (an empty shard contributes nothing and performs no reads).
-  bool has_scan = false;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      has_scan = true;
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      MaterializeShard(s);
-      Touch(s);
+void FileEngine::Shard::RunOps(const Op* ops,
+                               const std::vector<size_t>& list,
+                               OpResult* results, ScanProbe* probes) {
+  const FileEngineConfig& cfg = owner.config_;
+  std::vector<lsm::Entry> found;
+  for (size_t li = 0; li < list.size();) {
+    const size_t i = list[li];
+    const Op& op = ops[i];
+    // Ring path: a maximal run of consecutive gets becomes one overlapped
+    // submission window. Puts/deletes (may flush or compact) and scans
+    // (content-dependent cursors) stay synchronous barriers, executed
+    // exactly as on the pread path.
+    if (ring != nullptr && op.kind == OpKind::kGet) {
+      size_t end = li + 1;
+      while (end < list.size() && ops[list[end]].kind == OpKind::kGet) ++end;
+      ExecuteGetWindow(*this, cfg, ops, list.data() + li, end - li, results);
+      li = end;
+      continue;
     }
-  }
-  if (has_scan) WakeAllHibernated();
-
-  // Pass 2: one submission list per touched shard, in submission order; a
-  // scan probe appears in every resident shard's list (same sparse
-  // decomposition as ShardedEngine::ExecuteOps — O(ops + resident), never
-  // O(total shards)).
-  std::vector<size_t> list_shard;  // list index -> shard id
-  std::vector<std::vector<size_t>> lists;
-  std::unordered_map<size_t, size_t> list_of;
-  if (has_scan) {
-    // The probe set is the resident set after pass 1, ascending; every
-    // point shard of this batch is already in it.
-    list_shard.assign(resident_.begin(), resident_.end());
-    lists.resize(list_shard.size());
-    list_of.reserve(2 * list_shard.size());
-    for (size_t k = 0; k < list_shard.size(); ++k) {
-      list_of.emplace(list_shard[k], k);
-      Touch(list_shard[k]);
+    ++li;
+    if (op.kind == OpKind::kScan) {
+      found.clear();
+      probes->before = clock.Snapshot();
+      const double t0 = NowNs();
+      probes->hits = DoScanShard(*this, cfg, op.key, op.scan_len, &found);
+      clock.elapsed_ns += NowNs() - t0;
+      probes->after = clock.Snapshot();
+      ++probes;
+      continue;
     }
-  }
-  std::vector<size_t> scan_slot(count, 0);
-  std::vector<size_t> scan_op;
-  for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      scan_slot[i] = scan_op.size();
-      scan_op.push_back(i);
-      for (auto& list : lists) list.push_back(i);
-    } else {
-      const size_t s = ShardIndex(ops[i].key);
-      const auto [it, inserted] = list_of.try_emplace(s, lists.size());
-      if (inserted) {
-        lists.emplace_back();
-        list_shard.push_back(s);
-      }
-      lists[it->second].push_back(i);
-    }
-  }
-
-  // Per-(scan, probed shard) bookkeeping: real duration, real I/O count,
-  // and live hits, indexed slot * stride + k so concurrent writers touch
-  // disjoint elements.
-  const size_t stride = lists.size();
-  const size_t num_scans = scan_op.size();
-  std::vector<double> scan_ns(num_scans * stride, 0.0);
-  std::vector<uint64_t> scan_ios(num_scans * stride, 0);
-  std::vector<size_t> scan_hits(num_scans * stride, 0);
-
-  // Resolve shard slots before the fan-out: every listed shard is
-  // materialized (pass 1), and workers must never touch the shard map.
-  std::vector<Shard*> list_slot(lists.size());
-  for (size_t k = 0; k < lists.size(); ++k) {
-    list_slot[k] = shards_.at(list_shard[k]).get();
-  }
-
-  util::ParallelFor(pool_, 0, lists.size(), [&](size_t k) {
-    Shard& sh = *list_slot[k];
-    std::vector<lsm::Entry> scratch;
-    const std::vector<size_t>& list = lists[k];
-    for (size_t li = 0; li < list.size();) {
-      const size_t i = list[li];
-      const Op& op = ops[i];
-      // Ring path: a maximal run of consecutive gets becomes one
-      // overlapped submission window. Puts/deletes (may flush or
-      // compact) and scans (content-dependent cursors) stay synchronous
-      // barriers, executed exactly as on the pread path.
-      if (sh.ring != nullptr && op.kind == OpKind::kGet) {
-        size_t end = li + 1;
-        while (end < list.size() && ops[list[end]].kind == OpKind::kGet) {
-          ++end;
-        }
-        ExecuteGetWindow(sh, config_, ops, list.data() + li, end - li,
-                         results);
-        li = end;
-        continue;
-      }
-      ++li;
-      const uint64_t ios_before = sh.clock.block_reads + sh.clock.block_writes;
-      const double t0 = Now(config_);
-      if (op.kind == OpKind::kScan) {
-        const size_t slot = scan_slot[i] * stride + k;
-        scratch.clear();
-        scan_hits[slot] =
-            DoScanShard(sh, config_, op.key, op.scan_len, &scratch);
-        const double dt = Now(config_) - t0;
-        scan_ns[slot] = dt;
-        scan_ios[slot] =
-            sh.clock.block_reads + sh.clock.block_writes - ios_before;
-        sh.clock.elapsed_ns += dt;
-        continue;
-      }
-      OpResult r;
-      switch (op.kind) {
-        case OpKind::kGet:
-          r.found = DoGet(sh, config_, op.key, nullptr);
-          break;
-        case OpKind::kPut:
-          DoPut(sh, config_, direct_io_, op.key, op.value, false);
-          break;
-        case OpKind::kDelete:
-          DoPut(sh, config_, direct_io_, op.key, 0, true);
-          break;
-        case OpKind::kScan:
-          break;  // handled above
-      }
-      const double dt = Now(config_) - t0;
-      r.latency_ns = dt;
-      r.ios = sh.clock.block_reads + sh.clock.block_writes - ios_before;
-      sh.clock.elapsed_ns += dt;
-      results[i] = r;
-    }
-    // Group commit: the shard's whole batch of logged writes lands in one
-    // pwrite (+ one fsync under kBatch). Untimed — durability overhead is
-    // measured by bench_recovery, not charged to op latencies.
-    if (sh.wal != nullptr) sh.wal->Commit();
-  });
-
-  // Gather the scans: a probe ran on every resident shard (cold shards
-  // would have contributed zero reads and zero hits); the op's latency is
-  // the sum of its per-shard probe times (serial-equivalent, the
-  // simulated engine's convention), its I/O the sum of real reads.
-  for (size_t slot = 0; slot < num_scans; ++slot) {
+    const uint64_t ios_before = clock.block_reads + clock.block_writes;
+    const double t0 = NowNs();
     OpResult r;
-    size_t hits = 0;
-    for (size_t k = 0; k < stride; ++k) {
-      r.latency_ns += scan_ns[slot * stride + k];
-      r.ios += scan_ios[slot * stride + k];
-      hits += scan_hits[slot * stride + k];
+    if (op.kind == OpKind::kGet) {
+      r.found = DoGet(*this, cfg, op.key, nullptr);
+    } else {
+      DoPut(*this, cfg, owner.direct_io_, op.key, op.value,
+            /*tombstone=*/op.kind == OpKind::kDelete);
     }
-    const size_t i = scan_op[slot];
-    r.scan_hits = std::min(ops[i].scan_len, hits);
+    const double dt = NowNs() - t0;
+    r.latency_ns = dt;
+    r.ios = clock.block_reads + clock.block_writes - ios_before;
+    clock.elapsed_ns += dt;
     results[i] = r;
   }
-
-  if (config_.lifecycle.hibernate_after_batches != 0) HibernateIdleShards();
-  ProfileBatch(ops, count, results);
+  // Group commit: the shard's whole batch of logged writes lands in one
+  // pwrite (+ one fsync under kBatch). Untimed — durability overhead is
+  // measured by bench_recovery, not charged to op latencies.
+  if (wal != nullptr) wal->Commit();
 }
 
-void FileEngine::FlushMemtable() {
-  // Hibernated shards holding buffered writes wake to flush them; the
-  // rest stay asleep (their flush would be a no-op). Cold shards are
-  // empty by construction.
-  std::vector<size_t> wake;
-  for (size_t s : hibernated_) {
-    if (shards_.at(s)->hib_memtable_size > 0) wake.push_back(s);
-  }
-  for (size_t s : wake) {
-    MaterializeShard(s);
-    Touch(s);
-  }
-  for (size_t s : resident_) {
-    Shard& sh = *shards_.at(s);
-    const double t0 = Now(config_);
-    FlushShard(sh, config_, direct_io_);
-    sh.clock.elapsed_ns += Now(config_) - t0;
-  }
+void FileEngine::Shard::Flush() {
+  const double t0 = NowNs();
+  FlushShard(*this, owner.config_, owner.direct_io_);
+  clock.elapsed_ns += NowNs() - t0;
 }
 
-void FileEngine::Reconfigure(const lsm::Options& new_total_options) {
-  const lsm::Options per_shard =
-      ShardedEngine::ShardOptions(new_total_options, num_shards_);
-  default_options_ = per_shard;
-  cold_options_.clear();
-  // Touched shards reconfigure now; untouched (cold) ones pick the new
-  // default up at materialization. Gather ids first: the hibernated
-  // overflow path inside ReconfigureShard may wake a shard, which
-  // mutates the lifecycle sets but never the map itself — still, never
-  // iterate a container while callees update its siblings.
-  std::vector<size_t> touched;
-  touched.reserve(shards_.size());
-  for (const auto& [s, sh] : shards_) {
-    (void)sh;
-    touched.push_back(s);
-  }
-  for (size_t s : touched) ReconfigureShard(s, per_shard);
-}
-
-void FileEngine::ReconfigureShard(size_t s, const lsm::Options& options) {
-  CAMAL_CHECK(s < num_shards_);
-  Shard* slot = ShardPtr(s);
-  if (slot == nullptr) {
-    // Deferred: a cold shard is an empty file set, and reconfiguring an
-    // empty shard is observationally identical to materializing it with
-    // the new options in the first place.
-    CAMAL_CHECK(options.entry_bytes == EffectiveOptions(s).entry_bytes);
-    cold_options_[s] = options;
-    return;
-  }
-  Shard& sh = *slot;
-  CAMAL_CHECK(options.entry_bytes == sh.options.entry_bytes);
-  if (sh.hibernated) {
-    // In-place update while asleep, unless the buffered writes now
-    // overflow the new capacity — then the shard must wake to flush,
-    // exactly as the live path would.
-    sh.options = options;
-    if (sh.hib_memtable_size < options.BufferEntries()) {
-      if (config_.durable) {
-        // The shard's writers are closed while it sleeps; a short-lived
-        // one records the change so a restart wakes into the new config.
-        fileio::Manifest temp(config_.file_ops, sh.dir, DurableSync(config_),
-                              sh.manifest_records);
-        temp.LogOptions(options);
-        sh.manifest_records = temp.record_count();
-      }
-      return;
-    }
-    MaterializeShard(s);
-    Touch(s);
-  }
-  const double t0 = Now(config_);
-  sh.options = options;
-  if (sh.manifest != nullptr) sh.manifest->LogOptions(options);
+void FileEngine::Shard::Reconfigure(const lsm::Options& opts) {
+  const FileEngineConfig& cfg = owner.config_;
+  CAMAL_CHECK(opts.entry_bytes == options.entry_bytes);
+  const double t0 = NowNs();
+  options = opts;
+  if (manifest != nullptr) manifest->LogOptions(opts);
   // The cache resizes immediately; a memtable over the new buffer
   // capacity flushes now; run files converge lazily through subsequent
   // flush/compaction cascades (InTransition reports the interim).
-  sh.cache.Resize(options.block_cache_bytes / config_.block_bytes);
-  if (sh.memtable.size() >= sh.options.BufferEntries()) {
-    FlushShard(sh, config_, direct_io_);
+  cache.Resize(opts.block_cache_bytes / cfg.block_bytes);
+  if (memtable.size() >= options.BufferEntries()) {
+    FlushShard(*this, cfg, owner.direct_io_);
   }
   // A changed io_queue_depth rebuilds the shard's ring and slot buffers
-  // (no-op otherwise). Counters stay identical at any depth, so the
-  // tuner may retune this knob mid-run like any other.
-  SetupShardRing(sh, config_, use_uring_);
-  MaybeRotateManifest(sh, config_);
-  sh.clock.elapsed_ns += Now(config_) - t0;
+  // (no-op otherwise). Counters stay identical at any depth, so the tuner
+  // may retune this knob mid-run like any other.
+  SetupShardRing(*this, cfg, owner.use_uring_);
+  MaybeRotateManifest(*this, cfg);
+  clock.elapsed_ns += NowNs() - t0;
 }
 
+bool FileEngine::Shard::ReconfigureFrozen(const lsm::Options& opts) {
+  const FileEngineConfig& cfg = owner.config_;
+  CAMAL_CHECK(opts.entry_bytes == options.entry_bytes);
+  // In place while asleep, unless the buffered writes now overflow the
+  // new capacity — then the shard must wake to flush, exactly as the live
+  // path would (waking already sizes the cache from the new options).
+  options = opts;
+  if (hib_memtable_size >= opts.BufferEntries()) return false;
+  if (cfg.durable) {
+    // The shard's writers are closed while it sleeps; a short-lived one
+    // records the change so a restart wakes into the new config.
+    fileio::Manifest temp(cfg.file_ops, dir, DurableSync(cfg),
+                          manifest_records);
+    temp.LogOptions(opts);
+    manifest_records = temp.record_count();
+  }
+  return true;
+}
+
+bool FileEngine::Shard::InTransition() const {
+  // A hibernated shard judges its frozen shape against the (possibly
+  // updated-in-place) options.
+  if (hibernated) {
+    for (size_t l = 0; l < hib_level_shape.size(); ++l) {
+      const auto& [runs, entries] = hib_level_shape[l];
+      if (options.LevelViolates(l, runs, entries)) return true;
+    }
+    return false;
+  }
+  for (size_t l = 0; l < levels.size(); ++l) {
+    const size_t runs = levels[l].size();
+    if (options.LevelViolates(l, runs, LevelEntries(levels[l]))) return true;
+  }
+  return false;
+}
+
+// ------------------------------------------------------- backend surface
+
 uint32_t FileEngine::ShardQueueDepth(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
   const Shard* sh = ShardPtr(s);
   if (sh != nullptr && !sh->hibernated) {
     return sh->ring != nullptr ? sh->io_depth : 1;
@@ -1870,30 +1628,31 @@ uint32_t FileEngine::ShardQueueDepth(size_t s) const {
 }
 
 const char* FileEngine::io_backend() const {
-  for (size_t s : resident_) {
-    if (shards_.at(s)->ring != nullptr) return "uring";
+  for (size_t s : resident()) {
+    if (ShardPtr(s)->ring != nullptr) return "uring";
   }
   // No live ring: predict whether any cold/hibernated shard would engage
   // one on materialization. All such shards run either their recorded
   // options or the engine default, so checking hibernated shards plus one
   // representative of each cold configuration covers every case without
   // an O(total shards) walk.
-  if (use_uring_ && resident_.size() < num_shards_) {
+  const size_t num_shards = NumShards();
+  if (use_uring_ && resident().size() < num_shards) {
     auto engages = [&](const lsm::Options& options) {
       return RingWouldEngage(ResolvedQueueDepth(options, config_), config_,
                              use_uring_);
     };
-    for (size_t s : hibernated_) {
-      if (engages(shards_.at(s)->options)) return "uring";
+    for (size_t s : hibernated()) {
+      if (engages(ShardPtr(s)->options)) return "uring";
     }
-    const size_t awake = resident_.size() + hibernated_.size();
-    if (awake < num_shards_) {
-      for (const auto& [s, options] : cold_options_) {
+    const size_t awake = resident().size() + hibernated().size();
+    if (awake < num_shards) {
+      for (const auto& [s, options] : cold_options()) {
         (void)s;
         if (engages(options)) return "uring";
       }
-      if (cold_options_.size() < num_shards_ - awake &&
-          engages(default_options_)) {
+      if (cold_options().size() < num_shards - awake &&
+          engages(default_options())) {
         return "uring";
       }
     }
@@ -1901,130 +1660,18 @@ const char* FileEngine::io_backend() const {
   return "pread";
 }
 
-lsm::Options FileEngine::ShardOptionsSnapshot(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh != nullptr ? sh->options : EffectiveOptions(s);
-}
-
-ShardState FileEngine::ShardLifecycle(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  if (sh == nullptr) return ShardState::kCold;
-  return sh->hibernated ? ShardState::kHibernated : ShardState::kMaterialized;
-}
-
-void FileEngine::AppendResidentShards(std::vector<size_t>* out) const {
-  out->insert(out->end(), resident_.begin(), resident_.end());
-}
-
-sim::DeviceSnapshot FileEngine::CostSnapshot() const {
-  // Ascending shard order, matching the simulated engine's convention
-  // (clock values here are real measurements, but a stable summation
-  // order keeps the aggregate reproducible given fixed per-shard clocks —
-  // e.g. under an injected virtual clock).
-  std::vector<size_t> ids;
-  ids.reserve(shards_.size());
-  for (const auto& [s, sh] : shards_) {
-    (void)sh;
-    ids.push_back(s);
-  }
-  std::sort(ids.begin(), ids.end());
-  sim::DeviceSnapshot total;
-  for (size_t s : ids) total += shards_.at(s)->clock.Snapshot();
-  return total;
-}
-
-sim::DeviceSnapshot FileEngine::ShardCostSnapshot(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh == nullptr ? sim::DeviceSnapshot{} : sh->clock.Snapshot();
-}
-
-EngineCounters FileEngine::AggregateCounters() const {
-  EngineCounters total;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->counters;
-  }
-  return total;
-}
-
-EngineCounters FileEngine::ShardCounters(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* sh = ShardPtr(s);
-  return sh == nullptr ? EngineCounters{} : sh->counters;
-}
-
-uint64_t FileEngine::TotalEntries() const {
-  uint64_t total = 0;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->disk_entries +
-             (sh->hibernated ? sh->hib_memtable_size : sh->memtable.size());
-  }
-  return total;
-}
-
-uint64_t FileEngine::DiskEntries() const {
-  uint64_t total = 0;
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    total += sh->disk_entries;
-  }
-  return total;
-}
-
-uint64_t FileEngine::ShardEntries(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* slot = ShardPtr(s);
-  if (slot == nullptr) return 0;
-  const Shard& sh = *slot;
-  return sh.disk_entries +
-         (sh.hibernated ? sh.hib_memtable_size : sh.memtable.size());
-}
-
-bool FileEngine::InTransition() const {
-  for (const auto& [s, sh] : shards_) {
-    (void)s;
-    if (sh->hibernated) {
-      // Judge the frozen shape against the (possibly updated-in-place)
-      // options, mirroring the live LevelViolates checks.
-      for (size_t l = 0; l < sh->hib_level_shape.size(); ++l) {
-        const auto& [runs, entries] = sh->hib_level_shape[l];
-        if (runs == 0) continue;
-        if (runs > static_cast<size_t>(sh->options.MaxRunsPerLevel())) {
-          return true;
-        }
-        if (static_cast<double>(entries) >
-            sh->options.LevelCapacityEntries(static_cast<int>(l))) {
-          return true;
-        }
-      }
-      continue;
-    }
-    for (size_t l = 0; l < sh->levels.size(); ++l) {
-      if (LevelViolates(sh->options, sh->levels[l], l)) return true;
-    }
-  }
-  return false;
-}
-
 size_t FileEngine::ShardRunCount(size_t s) const {
-  CAMAL_CHECK(s < num_shards_);
-  const Shard* slot = ShardPtr(s);
-  if (slot == nullptr) return 0;
-  const Shard& sh = *slot;
-  if (sh.hibernated) {
-    size_t runs = 0;
-    for (const auto& [count, entries] : sh.hib_level_shape) {
+  const Shard* sh = ShardPtr(s);
+  if (sh == nullptr) return 0;
+  size_t runs = 0;
+  if (sh->hibernated) {
+    for (const auto& [count, entries] : sh->hib_level_shape) {
       (void)entries;
       runs += count;
     }
     return runs;
   }
-  size_t runs = 0;
-  for (const auto& level : sh.levels) runs += level.size();
+  for (const auto& level : sh->levels) runs += level.size();
   return runs;
 }
 

@@ -2,24 +2,13 @@
 #define CAMAL_ENGINE_FILE_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "engine/file_ops.h"
-#include "engine/storage_engine.h"
+#include "engine/shard_host.h"
 #include "engine/wal.h"
 #include "lsm/options.h"
-
-namespace camal::util {
-class ThreadPool;
-}  // namespace camal::util
 
 namespace camal::engine {
 
@@ -52,10 +41,6 @@ struct FileEngineConfig {
   /// Leave the working directory (and all run files) behind on
   /// destruction — for post-mortem inspection.
   bool keep_files = false;
-  /// fsync run files after writing them. Off by default: the engine is a
-  /// measurement backend, not a durability story, and fsync latency on CI
-  /// machines drowns the signal under test.
-  bool sync_files = false;
   /// Size of one on-disk block: the read unit, the fence-pointer
   /// granularity, and the O_DIRECT alignment. Must be a power of two and
   /// a multiple of 512.
@@ -68,13 +53,6 @@ struct FileEngineConfig {
   /// ring path (1 = no overlap). Per-shard `lsm::Options::io_queue_depth`
   /// overrides this when nonzero — that is the knob the tuner drives.
   uint32_t io_queue_depth = 1;
-  /// Injectable time source for the profiling clocks, in nanoseconds.
-  /// Null (the default) reads the steady monotonic clock. Tests inject a
-  /// virtual clock here so measured latencies — and everything downstream
-  /// of them: cost-profiler windows, calibration fits, racing verdicts —
-  /// are deterministic instead of real-time-dependent. Logical results
-  /// and I/O *counts* never depend on the clock.
-  std::function<double()> clock_ns;
   /// Durability layer master switch. When set, every shard keeps a
   /// manifest (append-only log of its file-set structure) and a WAL (its
   /// memtable contents), so a crash or restart can reconstruct the exact
@@ -116,15 +94,15 @@ struct FileEngineConfig {
 /// append-only files on a real filesystem, with costs measured by
 /// monotonic clocks instead of the simulated device.
 ///
-/// `FileEngine` is the second `StorageEngine` implementation (next to the
-/// `sim::Device`-priced `lsm::LsmTree`/`ShardedEngine` stack) and exists
-/// to validate that model-driven tunings transfer from the simulator to
-/// an actual device. It keeps the same externally visible structure as
-/// the simulated engine — N hash-partitioned shards (`Mix64(key) % N`),
-/// per-shard memtable / Bloom filters / block cache, a leveled run
-/// hierarchy shaped by `lsm::Options` (buffer size, size ratio T, policy,
-/// runs-per-level K), scatter-gather `Scan` — but every run is a real
-/// file and every read path block access is a real `pread`.
+/// `FileEngine` exists to validate that model-driven tunings transfer
+/// from the simulator to an actual device. It is a `ShardHost` — the same
+/// partitioner, shard lifecycle, batched fan-out and scatter-gather `Scan`
+/// as the simulated `ShardedEngine` — whose per-shard store is a file
+/// set: memtable, Bloom filters, block cache and a leveled run hierarchy
+/// shaped by `lsm::Options` (buffer size, size ratio T, policy,
+/// runs-per-level K), where every run is a real file and every read path
+/// block access is a real `pread` (or an io_uring read). Hibernation
+/// persists a shard's in-memory structures to an uncounted sidecar file.
 ///
 /// Cost accounting is truthful, not simulated: per-shard clocks accumulate
 /// wall time measured around each operation plus real block read/write
@@ -147,77 +125,17 @@ struct FileEngineConfig {
 ///
 /// Thread-safety: externally synchronized, like every `StorageEngine`.
 /// Shard state is fully shard-local, so `ExecuteOps` may fan per-shard
-/// submission lists across an attached pool (see `set_pool`).
-class FileEngine : public StorageEngine {
+/// submission lists across an attached pool (see `ShardHost::set_pool`).
+class FileEngine : public ShardHost {
  public:
   /// Creates `num_shards` file-set shards under `config.workdir`.
   /// `total_options` is the system-wide configuration; each shard receives
-  /// the same even slice `ShardedEngine::ShardOptions` hands a simulated
+  /// the same even slice `ShardHost::ShardOptions` hands a simulated
   /// shard, so budget arithmetic (and the arbiter's conserved total) is
   /// identical across backends.
   FileEngine(size_t num_shards, const lsm::Options& total_options,
              const FileEngineConfig& config);
   ~FileEngine() override;
-
-  FileEngine(const FileEngine&) = delete;
-  FileEngine& operator=(const FileEngine&) = delete;
-
-  void Put(uint64_t key, uint64_t value) override;
-  void Delete(uint64_t key) override;
-  bool Get(uint64_t key, uint64_t* value) override;
-  size_t Scan(uint64_t start_key, size_t max_entries,
-              std::vector<lsm::Entry>* out) override;
-
-  /// Batched execution: the batch is partitioned into one submission list
-  /// per shard/file-set (a scan probe joins every list), the lists run
-  /// concurrently when a pool is attached, and per-op cost comes from a
-  /// monotonic clock around each operation (a scan's latency is the sum
-  /// of its per-shard probe times — the serial-equivalent convention the
-  /// simulated engine uses). Logical results and I/O counts are
-  /// deterministic at any pool size; measured latencies are real.
-  void ExecuteOps(const Op* ops, size_t count, OpResult* results) override;
-  using StorageEngine::ExecuteOps;
-
-  void FlushMemtable() override;
-
-  /// Divides `new_total_options` across shards (same arithmetic as the
-  /// simulated sharded engine) and reconfigures every shard.
-  void Reconfigure(const lsm::Options& new_total_options) override;
-
-  /// Applies shard-local `options` at runtime: the block cache resizes
-  /// immediately, a memtable over the new buffer capacity flushes, and
-  /// future runs size their Bloom filters from the new budget. Existing
-  /// run files converge through subsequent flushes/compactions (lazy,
-  /// like the simulated tree). Safe between `ExecuteOps` batches — this
-  /// is the surface the memory arbiter and the dynamic tuner drive.
-  void ReconfigureShard(size_t shard, const lsm::Options& options) override;
-
-  size_t NumShards() const override;
-  size_t ShardIndex(uint64_t key) const override;
-
-  lsm::Options ShardOptionsSnapshot(size_t shard) const override;
-
-  ShardState ShardLifecycle(size_t shard) const override;
-  size_t MaterializedShards() const override { return resident_.size(); }
-  void AppendResidentShards(std::vector<size_t>* out) const override;
-
-  /// Real cost clocks: block_reads/block_writes are actual pread/pwrite
-  /// block counts, elapsed_ns is accumulated monotonic wall time.
-  sim::DeviceSnapshot CostSnapshot() const override;
-  sim::DeviceSnapshot ShardCostSnapshot(size_t shard) const override;
-  EngineCounters AggregateCounters() const override;
-  EngineCounters ShardCounters(size_t shard) const override;
-
-  uint64_t TotalEntries() const override;
-  uint64_t DiskEntries() const override;
-  uint64_t ShardEntries(size_t shard) const override;
-  bool InTransition() const override;
-
-  /// Attaches (or detaches, with nullptr) the worker pool `ExecuteOps`
-  /// and `Scan` fan per-shard work across. Not owned; must outlive its
-  /// use. No pool runs inline.
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
 
   /// True when run files are actually being read with O_DIRECT (the
   /// constructor probes the working directory's filesystem once).
@@ -251,25 +169,15 @@ class FileEngine : public StorageEngine {
   /// under one base directory (the Evaluator's file-backend measurements).
   static uint64_t NextUniqueId();
 
-  /// Opaque per-shard state (defined in file_engine.cc).
+  /// One shard's file set — its `ShardStore` (defined in file_engine.cc).
   struct Shard;
 
+ protected:
+  std::unique_ptr<ShardStore> NewStore(size_t s) override;
+
  private:
-  Shard& shard(size_t s);
-  const Shard& shard(size_t s) const;
-
-  /// Slot lookup in the hashed active-shard map: the live shard, or null
-  /// for a cold shard (no entry).
-  Shard* ShardPtr(size_t s);
+  /// The live store of shard `s`, or null for a cold shard.
   const Shard* ShardPtr(size_t s) const;
-
-  /// The options shard `s` will materialize with while it is cold.
-  const lsm::Options& EffectiveOptions(size_t s) const;
-
-  /// Brings shard `s` to the materialized state: creates its directory,
-  /// cache, scratch buffers, and ring for a cold shard, or rehydrates a
-  /// hibernated one from its sidecar. Returns the live shard.
-  Shard& MaterializeShard(size_t s);
 
   /// `reopen=true` startup: scans the workdir for shard directories and
   /// reconstructs each from its manifest + WAL.
@@ -280,40 +188,11 @@ class FileEngine : public StorageEngine {
   /// tails and deleting unreferenced files.
   void RecoverShard(size_t s, const std::string& dir);
 
-  /// Freezes shard `s` into its sidecar and releases in-memory state.
-  void HibernateShardAt(size_t s);
-
-  /// Wakes every hibernated shard (scans probe all data-holding shards).
-  void WakeAllHibernated();
-
-  /// Marks shard `s` active this batch and arms its idle timer.
-  void Touch(size_t s);
-
-  /// Hibernates shards whose idle timers expired.
-  void HibernateIdleShards();
-
   FileEngineConfig config_;
   std::string workdir_;
   bool created_workdir_ = false;
   bool direct_io_ = false;
   bool use_uring_ = false;
-  lsm::Options default_options_;
-  /// Hashed active-shard map: an entry exists only for shards that have
-  /// been materialized at least once (live or hibernated), so engine
-  /// memory is O(active) even at a million mostly-cold tenants. No entry
-  /// = cold shard.
-  std::unordered_map<size_t, std::unique_ptr<Shard>> shards_;
-  size_t num_shards_ = 0;
-  /// Options applied to a shard while cold, pending materialization.
-  std::map<size_t, lsm::Options> cold_options_;
-  /// Materialized shard ids, ascending (scan probe order).
-  std::set<size_t> resident_;
-  /// Hibernated shard ids.
-  std::set<size_t> hibernated_;
-  /// Idle tracking: (shard, touch epoch) entries with lazy deletion.
-  std::deque<std::pair<size_t, uint64_t>> idle_queue_;
-  uint64_t epoch_ = 0;
-  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace camal::engine

@@ -1,76 +1,38 @@
 #ifndef CAMAL_ENGINE_SHARDED_ENGINE_H_
 #define CAMAL_ENGINE_SHARDED_ENGINE_H_
 
-#include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
-#include <vector>
 
-#include "engine/storage_engine.h"
+#include "engine/shard_host.h"
 #include "lsm/lsm_tree.h"
 #include "sim/device.h"
 
-namespace camal::util {
-class ThreadPool;
-}  // namespace camal::util
-
 namespace camal::engine {
 
-/// Gathers per-shard sorted slices into one globally sorted stream of up
-/// to `max_entries` entries via a binary-heap k-way merge: O(total·log k)
-/// instead of a linear min-scan's O(total·k). Keys across slices must be
-/// pairwise disjoint (hash partitioning guarantees it), so no tie-break
-/// is needed and the output order is unique. Both `ShardedEngine::Scan`
-/// and `FileEngine::Scan` gather through this.
-size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
-                           size_t max_entries, std::vector<lsm::Entry>* out);
-
-/// N independent `lsm::LsmTree` shards behind a deterministic hash
-/// partitioner — the multi-tenant serving engine. Each shard owns its own
-/// simulated device and its own options; the total memory budget of the
-/// system-wide options is divided evenly across shards.
+/// N independent `lsm::LsmTree` shards behind a `ShardHost` — the
+/// simulated multi-tenant serving engine. Each shard owns its own
+/// simulated device and its own options.
 ///
-/// Point operations route to `Mix64(key) % N`. `Scan` scatter-gathers: all
-/// data-holding shards are range-probed and their sorted slices k-way
-/// merged into a globally sorted result. `Reconfigure` re-divides a new
-/// total budget; `ReconfigureShard` retunes one shard independently (the
-/// dynamic tuner's per-shard path).
-///
-/// **Shard lifecycle (million-tenant scale).** Shards are lazy by
-/// default: a cold shard holds no memtable, Bloom filters, cache, or
-/// device — just a few pointers — and materializes on the first operation
-/// that touches it. With `ShardLifecycleConfig::hibernate_after_batches`
-/// set, a materialized shard idle for that many `ExecuteOps` batches
-/// freezes its tree into a compact snapshot (`lsm::FrozenTreeState`) and
-/// releases the live structures; the next touching operation rehydrates
-/// it transparently. Both transitions charge nothing and preserve all
-/// state bit-exactly, so logical results, per-op costs, and
-/// `EngineCounters` are identical to an eager engine serving the same
-/// stream:
+/// A shard's store is its device plus either a live tree or, while
+/// hibernated, the tree's compact snapshot (`lsm::FrozenTreeState`).
+/// Freeze and thaw charge nothing and preserve all state bit-exactly:
 ///   - a cold shard is observationally an empty tree (empty-tree probes
 ///     charge nothing and contribute exact zeros to scan cost sums);
 ///   - materialization builds exactly the state eager construction built
 ///     (shard i's device seed is a pure function of i);
 ///   - freeze/restore round-trips the complete tree state, cache LRU
-///     order and counters included.
-///
-/// `ExecuteOps` is the async serving path: each batch is partitioned into
-/// per-shard operation lists (a scan probe appears in every resident
-/// shard's list; scans first wake all hibernated shards), the lists run
-/// concurrently on `pool()` workers with intra-shard order preserved, and
-/// per-op results are merged back into submission order. Partitioning and
-/// all bookkeeping are O(ops + resident), never O(total shards). Because
-/// every shard owns its device (including its jitter stream), the results
-/// are bit-identical to serial execution at any thread count.
+///     order and counters included;
+///   - a hibernated shard takes `ReconfigureShard` in place, exactly as
+///     waking it, reconfiguring the tree and re-freezing would.
+/// Because every shard owns its device (including its jitter stream),
+/// `ExecuteOps` results are bit-identical to serial execution at any
+/// thread count.
 ///
 /// With one shard the engine is bit-identical to driving the tree
 /// directly: shard 0 uses the caller's device config verbatim (including
 /// its jitter seed), options pass through undivided, and `Scan` forwards
 /// without a merge layer.
-class ShardedEngine : public StorageEngine {
+class ShardedEngine : public ShardHost {
  public:
   /// `total_options` is the system-wide configuration; each shard receives
   /// `ShardOptions(total_options, num_shards)`. Shard 0's device uses
@@ -83,126 +45,17 @@ class ShardedEngine : public StorageEngine {
                 const sim::DeviceConfig& device_config,
                 const ShardLifecycleConfig& lifecycle = {});
 
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  void Put(uint64_t key, uint64_t value) override;
-  void Delete(uint64_t key) override;
-  bool Get(uint64_t key, uint64_t* value) override;
-  size_t Scan(uint64_t start_key, size_t max_entries,
-              std::vector<lsm::Entry>* out) override;
-
-  /// Batched execution with concurrent per-shard sub-batches (serial when
-  /// no pool is attached). Deterministic: bit-identical results for any
-  /// `pool()` value.
-  void ExecuteOps(const Op* ops, size_t count, OpResult* results) override;
-  using StorageEngine::ExecuteOps;
-
-  void FlushMemtable() override;
-
-  /// Divides `new_total_options`'s memory budget across shards and
-  /// reconfigures every shard lazily. Hibernated shards wake to apply it;
-  /// cold shards record it as their materialization target.
-  void Reconfigure(const lsm::Options& new_total_options) override;
-
-  /// Applies `options` to one shard as-is (shard-local budget). A
-  /// hibernated shard wakes; a cold shard stays cold and materializes
-  /// with `options` later (deferred reconfiguration of an empty tree is
-  /// observationally identical to applying it now).
-  void ReconfigureShard(size_t shard, const lsm::Options& options) override;
-
-  size_t NumShards() const override { return num_shards_; }
-  size_t ShardIndex(uint64_t key) const override;
-
-  lsm::Options ShardOptionsSnapshot(size_t shard) const override;
-
-  ShardState ShardLifecycle(size_t shard) const override;
-  size_t MaterializedShards() const override { return resident_.size(); }
-  void AppendResidentShards(std::vector<size_t>* out) const override;
-
-  sim::DeviceSnapshot CostSnapshot() const override;
-  sim::DeviceSnapshot ShardCostSnapshot(size_t shard) const override;
-  EngineCounters AggregateCounters() const override;
-  EngineCounters ShardCounters(size_t shard) const override;
-
-  uint64_t TotalEntries() const override;
-  uint64_t DiskEntries() const override;
-  uint64_t ShardEntries(size_t shard) const override;
-  bool InTransition() const override;
-
-  /// Attaches (or detaches, with nullptr) the worker pool `ExecuteOps` and
-  /// `Scan` fan shard-local work across. Not owned; must outlive its use.
-  /// No pool — and any call made from inside a pool worker — runs inline.
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
-
   /// Direct shard access (tests, per-shard inspection). Materializes the
   /// shard (waking it if hibernated) — access implies intent to touch.
   lsm::LsmTree* shard(size_t i);
+  /// Shard `i`'s device, created if needed; does not materialize.
   sim::Device* shard_device(size_t i);
 
-  /// The per-shard slice of a total configuration: buffer, Bloom, and
-  /// block-cache budgets divided by `num_shards` (shape knobs unchanged).
-  /// Identity when `num_shards` == 1.
-  static lsm::Options ShardOptions(const lsm::Options& total,
-                                   size_t num_shards);
+ protected:
+  std::unique_ptr<ShardStore> NewStore(size_t s) override;
 
  private:
-  struct Shard {
-    std::unique_ptr<sim::Device> device;           // survives hibernation
-    std::unique_ptr<lsm::LsmTree> tree;            // iff materialized
-    std::unique_ptr<lsm::FrozenTreeState> frozen;  // iff hibernated
-    uint64_t last_touch_epoch = ~uint64_t{0};      // sentinel: never touched
-  };
-
-  /// The options shard `s` materializes (or rehydrates) with.
-  const lsm::Options& EffectiveOptions(size_t s) const;
-
-  sim::Device* EnsureDevice(size_t s);
-
-  /// Brings shard `s` to the materialized state (create cold / wake
-  /// hibernated); returns its live tree.
-  lsm::LsmTree* MaterializeShard(size_t s);
-
-  /// Freezes shard `s`'s tree into its compact snapshot and releases the
-  /// live structures (device stays: its jitter stream is mid-sequence).
-  void HibernateShard(size_t s);
-
-  /// Wakes every hibernated shard (scans: their data must be probed).
-  void WakeAllHibernated();
-
-  /// Marks shard `s` active this batch and arms its idle timer.
-  void Touch(size_t s);
-
-  /// Hibernates shards whose idle timers expired.
-  void HibernateIdleShards();
-
-  /// Range-probes every resident shard concurrently; slices[k] receives
-  /// probed shard k's up-to-max_entries sorted live entries.
-  void ScatterScan(const std::vector<size_t>& probed, uint64_t start_key,
-                   size_t max_entries,
-                   std::vector<std::vector<lsm::Entry>>* slices);
-
-  /// Hashed active-shard map: holds an entry only for shards that have
-  /// ever been touched (materialized, hibernated, or device-only), so
-  /// engine memory is O(active), not O(total) — a million cold tenants
-  /// cost nothing but this map's empty buckets.
-  std::unordered_map<size_t, Shard> shards_;
-  size_t num_shards_ = 0;
-  lsm::Options default_options_;
   sim::DeviceConfig device_config_;
-  ShardLifecycleConfig lifecycle_;
-  /// Options applied to a shard while cold, pending materialization.
-  std::map<size_t, lsm::Options> cold_options_;
-  /// Materialized shard ids, ascending (scan probe order).
-  std::set<size_t> resident_;
-  /// Hibernated shard ids (O(hibernated) wake-all, not O(total)).
-  std::set<size_t> hibernated_;
-  /// Idle tracking: (shard, touch epoch) entries with lazy deletion; a
-  /// shard hibernates when its newest entry expires untouched.
-  std::deque<std::pair<size_t, uint64_t>> idle_queue_;
-  uint64_t epoch_ = 0;
-  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace camal::engine

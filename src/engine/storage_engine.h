@@ -68,7 +68,7 @@ enum class ShardState : uint8_t {
 };
 
 /// Shard-lifecycle knobs shared by the engines that support lazy
-/// instantiation (`ShardedEngine`, `FileEngine`). The defaults — lazy on,
+/// instantiation (every `ShardHost`). The defaults — lazy on,
 /// hibernation off — are bit-identical to the historical eager engines:
 /// cold shards are observationally empty, and materializing one on first
 /// touch reproduces exactly the state eager construction would have
@@ -157,16 +157,18 @@ struct OpCostWindow {
 /// execution stack (workload::Execute, tune::Evaluator, tune::DynamicTuner)
 /// and a concrete storage backend.
 ///
-/// Implementations: `lsm::LsmTree` (one simulated tree, one device),
-/// `ShardedEngine` (N trees behind a hash partitioner, simulated), and
-/// `FileEngine` (real files + real clocks). The tuning layers talk only
-/// to this surface, so any backend slots in unchanged.
+/// Implementations: `lsm::LsmTree` (one simulated tree, one device) and
+/// `ShardHost` (N shard stores behind a hash partitioner, with lazy
+/// instantiation and hibernation), whose subclasses are `ShardedEngine`
+/// (simulated trees) and `FileEngine` (real files + real clocks). The
+/// tuning layers talk only to this surface, so any backend slots in
+/// unchanged.
 ///
 /// **Contract.** The serving hot path is `ExecuteOps`: the caller submits
 /// a batch and receives one `OpResult` per op, in submission order, with
 /// per-op cost attributed by the engine. The base implementation runs the
 /// batch serially and prices each op by diffing `CostSnapshot()` (exactly
-/// what callers historically did); `ShardedEngine` overrides it to execute
+/// what callers historically did); `ShardHost` overrides it to execute
 /// shard-local sub-batches concurrently while producing bit-identical
 /// results. Every serving path — closed-loop (`workload::Execute`,
 /// `tune::DynamicTuner`) and open-loop (`serve::Gateway`) — submits

@@ -20,6 +20,10 @@ namespace camal::lsm {
 /// single-tree view of the engine-level counters.
 using TreeCounters = engine::EngineCounters;
 
+/// Whether any level of `levels` breaks the shape `opts` prescribes — the
+/// transition predicate of lazy reconfiguration, for live and frozen trees.
+bool AnyLevelViolates(const Levels& levels, const Options& opts);
+
 /// A hibernated tree: the complete logical state of an `LsmTree` in a
 /// compact, memtable-free form. `Freeze` produces it without charging the
 /// device; the restoring constructor rebuilds a tree that behaves
@@ -50,7 +54,7 @@ struct FrozenTreeState {
 ///
 /// The batched `ExecuteOps` pipeline is served by the base class's serial
 /// implementation (one tree, one device — per-op costs are plain device
-/// snapshot deltas); `engine::ShardedEngine` is the parallel override.
+/// snapshot deltas); `engine::ShardHost` is the parallel override.
 class LsmTree : public engine::StorageEngine {
  public:
   /// `device` must outlive the tree; all simulated cost is charged there.
@@ -152,9 +156,6 @@ class LsmTree : public engine::StorageEngine {
   /// Merges all runs of `level_idx` into one new run placed at
   /// `output_level`, charging compaction I/O and CPU.
   RunPtr MergeLevelIntoRun(size_t level_idx, size_t output_level);
-
-  bool LevelViolates(size_t idx, const Options& opts) const;
-  bool AnyLevelViolates(const Options& opts) const;
 
   Options options_;
   sim::Device* device_;

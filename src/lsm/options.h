@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "util/status.h"
@@ -66,6 +67,16 @@ struct Options {
   double LevelCapacityEntries(int level_idx) const {
     return static_cast<double>(BufferEntries()) * (size_ratio - 1.0) *
            std::pow(size_ratio, level_idx);
+  }
+
+  /// Whether on-disk level `level_idx` holding `runs` runs and `entries`
+  /// entries breaks this configuration's shape (more runs than `K`, or
+  /// more entries than the level's capacity). Empty levels never do.
+  bool LevelViolates(size_t level_idx, size_t runs, uint64_t entries) const {
+    if (runs == 0) return false;
+    if (runs > static_cast<size_t>(MaxRunsPerLevel())) return true;
+    return static_cast<double>(entries) >
+           LevelCapacityEntries(static_cast<int>(level_idx));
   }
 
   /// Number of on-disk levels needed for `n` total entries (Equation 1).

@@ -42,7 +42,8 @@ std::unique_ptr<engine::ShardedEngine> MakeLoadedEngine(
 // `hook` attached (nullptr = the plain pre-arbiter execution).
 workload::ExecutionResult RunStream(engine::StorageEngine* eng,
                                     workload::KeySpace* keys, double skew,
-                                    size_t num_ops, workload::BatchHook* hook,
+                                    size_t num_ops,
+                                    workload::BatchObserver* hook,
                                     size_t batch_ops = 256) {
   workload::ExecutorConfig exec;
   exec.num_ops = num_ops;

@@ -66,7 +66,7 @@ tune::SystemSetup FileSetup(uint64_t entries, size_t shards) {
 workload::ExecutionResult RunStream(StorageEngine* eng,
                                     workload::KeySpace* keys, size_t num_ops,
                                     double skew = 0.0,
-                                    workload::BatchHook* hook = nullptr,
+                                    workload::BatchObserver* hook = nullptr,
                                     size_t batch_ops = 256) {
   workload::ExecutorConfig exec;
   exec.num_ops = num_ops;
@@ -385,12 +385,10 @@ TEST(FileEngineTest, RealClocksAccumulatePerShard) {
 
 /// Reconfigures one shard between batches — the arbiter's mutation shape,
 /// driven mid-phase while batches are in flight.
-class ShrinkShardHook : public workload::BatchHook {
+class ShrinkShardHook : public workload::BatchObserver {
  public:
-  void OnBatch(StorageEngine* engine, const workload::Operation* ops,
-               size_t count) override {
-    (void)ops;
-    (void)count;
+  void OnBatchEvent(StorageEngine* engine,
+                    const workload::BatchEvent&) override {
     ++batches_;
     if (batches_ % 3 != 0) return;
     const size_t s = batches_ % engine->NumShards();

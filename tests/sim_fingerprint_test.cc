@@ -19,6 +19,8 @@
 #include "camal/sample.h"
 #include "engine/sharded_engine.h"
 #include "model/workload_spec.h"
+#include "shard_host_schedule.h"
+#include "util/thread_pool.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
 
@@ -147,6 +149,48 @@ TEST(SimFingerprintTest, BulkLoadThenMixedRunIsBitIdentical) {
   EXPECT_EQ(counters.transition_ios, 0u);
   EXPECT_EQ(counters.flushes, 5507u);
   EXPECT_EQ(counters.merges, 5487u);
+}
+
+// The sharding layer's lifecycle paths, pinned: a 16-shard lazy engine
+// that hibernates after 2 idle batches serves the shared schedule (scans,
+// cold and hibernated ReconfigureShard, Reconfigure, FlushMemtable) on a
+// 2-worker pool. Every per-op latency enters `result_hash` bit for bit.
+TEST(SimFingerprintTest, ShardLifecycleScheduleIsBitIdentical) {
+  const lsm::Options opts = engine::ScheduleOptions(16);
+  engine::ShardedEngine eng(
+      16, opts, sim::DeviceConfig{},
+      engine::ShardLifecycleConfig{/*lazy=*/true,
+                                   /*hibernate_after_batches=*/2});
+  util::ThreadPool pool(2);
+  eng.set_pool(&pool);
+  const engine::ScheduleTrace t = engine::RunShardHostSchedule(&eng, opts, 5);
+
+  EXPECT_EQ(t.ops, 1600u);
+  EXPECT_EQ(t.result_hash, 0x2d3058e8eccbf27cULL) << std::hex << t.result_hash;
+  EXPECT_EQ(t.count_hash, 0x729b32e29acbb2feULL) << std::hex << t.count_hash;
+  EXPECT_BITS(t.latency_sum, 0x1.4c24913beab55p+24);
+  EXPECT_BITS(t.scan_latency_sum, 0x1.6cdb93e15c8f3p+22);
+  EXPECT_EQ(t.ios, 425u);
+  EXPECT_EQ(t.found, 62u);
+  EXPECT_EQ(t.scan_hits, 246u);
+
+  const engine::EngineCounters c = eng.AggregateCounters();
+  EXPECT_EQ(c.compaction_block_reads, 171u);
+  EXPECT_EQ(c.compaction_block_writes, 205u);
+  EXPECT_EQ(c.transition_ios, 4u);
+  EXPECT_EQ(c.flushes, 112u);
+  EXPECT_EQ(c.merges, 83u);
+  const sim::DeviceSnapshot cost = eng.CostSnapshot();
+  EXPECT_EQ(cost.block_reads, 253u);
+  EXPECT_EQ(cost.block_writes, 205u);
+  EXPECT_BITS(cost.elapsed_ns, 0x1.605841a11ef76p+24);
+  EXPECT_EQ(eng.TotalEntries(), 794u);
+  EXPECT_EQ(eng.DiskEntries(), 731u);
+  EXPECT_EQ(eng.InTransition(), false);
+  EXPECT_EQ(engine::LifecycleString(eng), "mmmmmmmmmmmmmmmm");
+  EXPECT_EQ(t.lifecycles,
+            "mmmmmmmmcccccccc|hhhhhhhhmmmmmmmc|mmmmmmmmmmmmmmmm|"
+            "mmhhhhhhhhhhhhhh|mmmmmmmmmmmmmmmm|");
 }
 
 }  // namespace
