@@ -272,37 +272,28 @@ CalibRow RunCell(const CalibConfig& cfg, bool file_backend, bool calibrate,
 
 void WriteJson(const std::string& path, const CalibConfig& cfg,
                const std::vector<CalibRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot open %s for writing\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"calibration\",\n");
-  std::fprintf(f, "  \"entries\": %llu,\n",
-               static_cast<unsigned long long>(cfg.entries));
-  std::fprintf(f, "  \"probe_ops\": %zu,\n", cfg.probe_ops);
-  std::fprintf(f, "  \"phase_ops\": %zu,\n", cfg.phase_ops);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const CalibRow& r = rows[i];
+  const auto header = [&cfg](std::FILE* f) {
+    std::fprintf(f, "  \"entries\": %llu,\n",
+                 static_cast<unsigned long long>(cfg.entries));
+    std::fprintf(f, "  \"probe_ops\": %zu,\n", cfg.probe_ops);
+    std::fprintf(f, "  \"phase_ops\": %zu,\n", cfg.phase_ops);
+  };
+  WriteJsonReport(path, "calibration", header, rows,
+                  [](std::FILE* f, const CalibRow& r) {
     std::fprintf(
         f,
-        "    {\"backend\": \"%s\", \"calibration\": \"%s\", "
+        "{\"backend\": \"%s\", \"calibration\": \"%s\", "
         "\"racing\": \"%s\", \"pick\": \"%s\", "
         "\"baseline_ios_per_op\": %.4f, \"model_ios_per_op\": %.4f, "
         "\"tuned_ios_per_op\": %.4f, \"tuned_mean_us\": %.3f, "
         "\"corrector_channels\": %d, \"phase_ios_per_op\": %.4f, "
         "\"races_started\": %zu, \"race_switches\": %zu, "
-        "\"race_holds\": %zu, \"reconfigurations\": %zu}%s\n",
+        "\"race_holds\": %zu, \"reconfigurations\": %zu}",
         r.backend, r.calibration, r.racing, r.pick, r.baseline_ios_per_op,
         r.model_ios_per_op, r.tuned_ios_per_op, r.tuned_mean_us,
         r.corrector_channels, r.phase_ios_per_op, r.races_started,
-        r.race_switches, r.race_holds, r.reconfigurations,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("[bench] wrote %s\n", path.c_str());
+        r.race_switches, r.race_holds, r.reconfigurations);
+  });
 }
 
 void Run(const CalibConfig& cfg, const std::string& json_path) {

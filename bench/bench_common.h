@@ -219,6 +219,34 @@ inline std::string TakeJsonFlag(int* argc, char** argv) {
   return path;
 }
 
+/// Writes a bench's JSON report to `path`:
+///
+///     {"bench": "<bench>", <header fields>, "rows": [<row>, ...]}
+///
+/// `header(f)` prints the top-level fields after "bench", one
+/// `  "key": value,` line each; `row(f, r)` prints one row object. Reports
+/// an unwritable path on stderr and writes nothing.
+template <typename Row, typename Header, typename RowFn>
+void WriteJsonReport(const std::string& path, const char* bench, Header header,
+                     const std::vector<Row>& rows, RowFn row) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "[bench] cannot open %s for writing\n", path.c_str());
+    return;
+  }
+  std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
+  header(f);
+  std::fprintf(f, "  \"rows\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::fprintf(f, "    ");
+    row(f, rows[i]);
+    std::fprintf(f, "%s\n", i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("[bench] wrote %s\n", path.c_str());
+}
+
 /// Baseline `SystemSetup` for a bench: the paper defaults plus the
 /// process-wide `--shards` selection. Every bench that measures through
 /// the Evaluator builds its setups from this so `--shards=N` actually

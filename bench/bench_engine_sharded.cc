@@ -278,38 +278,24 @@ SweepRow RunCell(const SweepConfig& cfg, size_t shards, size_t threads,
 
 void WriteJson(const std::string& path, const SweepConfig& cfg,
                const std::vector<SweepRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot open %s for writing\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"engine_sharded\",\n");
-  std::fprintf(f, "  \"ops_per_tenant\": %zu,\n", cfg.ops_per_tenant);
-  std::fprintf(f, "  \"entries_per_tenant\": %llu,\n",
-               static_cast<unsigned long long>(cfg.entries_per_tenant));
-  std::fprintf(f, "  \"rows\": [\n");
-  const auto print_u64_array = [f](const char* key,
-                                   const std::vector<uint64_t>& values) {
-    std::fprintf(f, "\"%s\": [", key);
-    for (size_t i = 0; i < values.size(); ++i) {
-      std::fprintf(f, "%s%llu", i == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(values[i]));
-    }
-    std::fprintf(f, "]");
+  const auto header = [&cfg](std::FILE* f) {
+    std::fprintf(f, "  \"ops_per_tenant\": %zu,\n", cfg.ops_per_tenant);
+    std::fprintf(f, "  \"entries_per_tenant\": %llu,\n",
+                 static_cast<unsigned long long>(cfg.entries_per_tenant));
   };
-  const auto print_double_array = [f](const char* key,
-                                      const std::vector<double>& values) {
-    std::fprintf(f, "\"%s\": [", key);
-    for (size_t i = 0; i < values.size(); ++i) {
-      std::fprintf(f, "%s%.3f", i == 0 ? "" : ", ", values[i]);
-    }
-    std::fprintf(f, "]");
-  };
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
+  WriteJsonReport(path, "engine_sharded", header, rows,
+                  [](std::FILE* f, const SweepRow& r) {
+    const auto print_u64_array = [f](const char* key,
+                                     const std::vector<uint64_t>& values) {
+      std::fprintf(f, "\"%s\": [", key);
+      for (size_t i = 0; i < values.size(); ++i) {
+        std::fprintf(f, "%s%llu", i == 0 ? "" : ", ",
+                     static_cast<unsigned long long>(values[i]));
+      }
+      std::fprintf(f, "]");
+    };
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"io_backend\": \"%s\", "
+                 "{\"backend\": \"%s\", \"io_backend\": \"%s\", "
                  "\"io_queue_depth\": %u, \"mode\": \"%s\", "
                  "\"arbiter\": \"%s\", "
                  "\"skew\": %.3f, \"shards\": %zu, \"threads\": %zu, "
@@ -327,13 +313,12 @@ void WriteJson(const std::string& path, const SweepConfig& cfg,
     print_u64_array("shard_budget_bits", r.shard_budget_bits);
     std::fprintf(f, ", ");
     print_u64_array("shard_entries", r.shard_entries);
-    std::fprintf(f, ", ");
-    print_double_array("shard_sim_ms", r.shard_sim_ms);
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("[bench] wrote %s\n", path.c_str());
+    std::fprintf(f, ", \"shard_sim_ms\": [");
+    for (size_t i = 0; i < r.shard_sim_ms.size(); ++i) {
+      std::fprintf(f, "%s%.3f", i == 0 ? "" : ", ", r.shard_sim_ms[i]);
+    }
+    std::fprintf(f, "]}");
+  });
 }
 
 void Run(const SweepConfig& cfg, const std::string& json_path) {

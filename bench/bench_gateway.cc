@@ -210,39 +210,29 @@ GatewayRow RunCell(const GatewayBenchConfig& cfg, bool bursty, double load,
 
 void WriteJson(const std::string& path, const GatewayBenchConfig& cfg,
                const std::vector<GatewayRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot open %s for writing\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"gateway\",\n");
-  std::fprintf(f, "  \"tenants\": %zu,\n  \"ops\": %zu,\n", cfg.tenants,
-               cfg.num_ops);
-  std::fprintf(f, "  \"queue_depth\": %zu,\n  \"skew\": %.3f,\n",
-               cfg.queue_depth, cfg.skew);
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const GatewayRow& r = rows[i];
+  const auto header = [&cfg](std::FILE* f) {
+    std::fprintf(f, "  \"tenants\": %zu,\n  \"ops\": %zu,\n", cfg.tenants,
+                 cfg.num_ops);
+    std::fprintf(f, "  \"queue_depth\": %zu,\n  \"skew\": %.3f,\n",
+                 cfg.queue_depth, cfg.skew);
+  };
+  WriteJsonReport(path, "gateway", header, rows,
+                  [](std::FILE* f, const GatewayRow& r) {
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"pattern\": \"%s\", "
+                 "{\"backend\": \"%s\", \"pattern\": \"%s\", "
                  "\"admission\": %s, \"load\": %.2f, "
                  "\"submitted\": %llu, \"shed_frac\": %.4f, "
                  "\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, "
                  "\"queue_p99_us\": %.3f, \"service_mean_us\": %.3f, "
                  "\"max_depth\": %llu, \"batches\": %llu, "
-                 "\"wall_ms\": %.3f}%s\n",
+                 "\"wall_ms\": %.3f}",
                  r.backend, r.pattern, r.admission ? "true" : "false",
                  r.load, static_cast<unsigned long long>(r.submitted),
                  r.shed_frac, r.p50_us, r.p99_us, r.p999_us, r.queue_p99_us,
                  r.service_mean_us,
                  static_cast<unsigned long long>(r.max_depth),
-                 static_cast<unsigned long long>(r.batches), r.wall_ms,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("[bench] wrote %s\n", path.c_str());
+                 static_cast<unsigned long long>(r.batches), r.wall_ms);
+  });
 }
 
 void Run(const GatewayBenchConfig& cfg, const std::string& json_path) {

@@ -156,30 +156,22 @@ RecoveryRow RunCell(const RecoveryBenchConfig& cfg, const char* mode,
 
 void WriteJson(const std::string& path, const RecoveryBenchConfig& cfg,
                const std::vector<RecoveryRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"recovery\",\n  \"entries\": %llu,\n"
-               "  \"batch\": %zu,\n  \"shards\": %zu,\n  \"rows\": [\n",
-               static_cast<unsigned long long>(cfg.entries), cfg.batch,
-               Shards());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RecoveryRow& r = rows[i];
+  const auto header = [&cfg](std::FILE* f) {
+    std::fprintf(f, "  \"entries\": %llu,\n  \"batch\": %zu,\n"
+                 "  \"shards\": %zu,\n",
+                 static_cast<unsigned long long>(cfg.entries), cfg.batch,
+                 Shards());
+  };
+  WriteJsonReport(path, "recovery", header, rows,
+                  [](std::FILE* f, const RecoveryRow& r) {
     std::fprintf(f,
-                 "    {\"wal\": \"%s\", \"runs\": %zu, "
+                 "{\"wal\": \"%s\", \"runs\": %zu, "
                  "\"block_writes\": %llu, \"ingest_ms\": %.3f, "
-                 "\"recover_ms\": %.3f}%s\n",
+                 "\"recover_ms\": %.3f}",
                  r.mode, r.runs,
                  static_cast<unsigned long long>(r.block_writes),
-                 r.ingest_ms, r.recover_ms,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("[bench] wrote %s\n", path.c_str());
+                 r.ingest_ms, r.recover_ms);
+  });
 }
 
 void Run(const RecoveryBenchConfig& cfg, const std::string& json_path) {

@@ -178,30 +178,19 @@ ScaleRow RunCell(size_t num_shards, double skew, size_t num_ops,
 }
 
 void WriteJson(const std::string& path, const std::vector<ScaleRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot open %s for writing\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"shard_scale\",\n  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScaleRow& r = rows[i];
+  WriteJsonReport(path, "shard_scale", [](std::FILE*) {}, rows,
+                  [](std::FILE* f, const ScaleRow& r) {
     std::fprintf(
         f,
-        "    {\"shards\": %zu, \"skew\": %.3f, \"ops\": %zu, "
+        "{\"shards\": %zu, \"skew\": %.3f, \"ops\": %zu, "
         "\"windows\": %zu, \"wall_ms\": %.3f, \"ops_per_sec\": %.1f, "
         "\"arb_us_per_window\": %.3f, \"materialized\": %zu, "
         "\"hibernated\": %zu, \"touched\": %zu, \"arbiter_rounds\": %zu, "
-        "\"arbiter_moves\": %zu, \"rss_mib\": %.1f}%s\n",
+        "\"arbiter_moves\": %zu, \"rss_mib\": %.1f}",
         r.shards, r.skew, r.ops, r.windows, r.wall_ms, r.ops_per_sec,
         r.arb_us_per_window, r.materialized, r.hibernated, r.touched,
-        r.arbiter_rounds, r.arbiter_moves, r.rss_mib,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("[bench] wrote %s\n", path.c_str());
+        r.arbiter_rounds, r.arbiter_moves, r.rss_mib);
+  });
 }
 
 void Run(const std::vector<size_t>& shard_counts,

@@ -5,26 +5,26 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <limits>
-#include <list>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "engine/io_ring.h"
 #include "engine/manifest.h"
+#include "engine/wal.h"
+#include "lsm/block_cache.h"
 #include "lsm/bloom.h"
+#include "lsm/compaction.h"
 #include "util/status.h"
 
 namespace camal::engine {
@@ -48,13 +48,8 @@ static_assert(sizeof(DiskEntry) == 24, "record layout must stay 24 bytes");
 
 constexpr uint64_t kTombstoneFlag = 1;
 
-/// Aborts with errno context; real-IO failures are environment errors the
-/// measurement cannot recover from (same policy as CAMAL_CHECK).
-inline void SysCheck(bool ok, const char* what, const std::string& path) {
-  if (ok) return;
-  std::fprintf(stderr, "FileEngine: %s failed for '%s': %s\n", what,
-               path.c_str(), std::strerror(errno));
-  std::abort();
+inline uint64_t EntriesPerBlock(uint64_t block_bytes) {
+  return block_bytes / sizeof(DiskEntry);
 }
 
 /// Block-aligned heap buffer (O_DIRECT wants aligned reads and writes; the
@@ -83,78 +78,49 @@ inline double NowNs() {
 /// alive across an eviction.
 using BlockPtr = std::shared_ptr<const std::vector<char>>;
 
-/// LRU block cache that carries block *contents* (unlike the simulated
-/// `lsm::BlockCache`, which only tracks hit/miss — a real backend must
-/// serve cached bytes, not just skip a charge).
-class ContentCache {
- public:
-  explicit ContentCache(uint64_t capacity_blocks)
-      : capacity_(capacity_blocks) {}
+/// The shard block cache: the simulated tree's LRU, carrying block bytes
+/// (a real backend must serve cached bytes, not just skip a charge).
+using BlockCache = lsm::BasicBlockCache<BlockPtr>;
 
-  /// Returns the cached block (promoted to MRU) or nullptr.
-  BlockPtr Lookup(uint64_t key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
-  }
-
-  /// Returns the cached block without promoting it. The ring path's
-  /// discovery pass peeks so that resolving access sequences never
-  /// perturbs the LRU order its replay pass reproduces.
-  BlockPtr Peek(uint64_t key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : it->second->second;
-  }
-
-  void Insert(uint64_t key, BlockPtr content) {
-    if (capacity_ == 0) return;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      it->second->second = std::move(content);
-      return;
-    }
-    lru_.emplace_front(key, std::move(content));
-    map_[key] = lru_.begin();
-    EvictToCapacity();
-  }
-
-  void Resize(uint64_t capacity_blocks) {
-    capacity_ = capacity_blocks;
-    EvictToCapacity();
-  }
-
-  /// Cache keys in recency order, most-recent first (hibernation
-  /// snapshots persist this so rehydration rebuilds the exact LRU state).
-  std::vector<uint64_t> KeysMruToLru() const {
-    std::vector<uint64_t> keys;
-    keys.reserve(map_.size());
-    for (const auto& [key, content] : lru_) {
-      (void)content;
-      keys.push_back(key);
-    }
-    return keys;
-  }
-
- private:
-  void EvictToCapacity() {
-    while (map_.size() > capacity_) {
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-  }
-
-  uint64_t capacity_;
-  std::list<std::pair<uint64_t, BlockPtr>> lru_;
-  std::unordered_map<uint64_t,
-                     std::list<std::pair<uint64_t, BlockPtr>>::iterator>
-      map_;
-};
-
-inline uint64_t CacheKey(uint64_t run_id, uint64_t block_idx) {
-  return (run_id << 22) | (block_idx & ((1ULL << 22) - 1));
+inline BlockPtr CopyBlock(const char* bytes, uint64_t block_bytes) {
+  return std::make_shared<std::vector<char>>(bytes, bytes + block_bytes);
 }
+
+/// The records of one block, decoded from its bytes.
+struct BlockView {
+  const char* bytes = nullptr;
+  uint64_t count = 0;
+
+  DiskEntry At(uint64_t i) const {
+    DiskEntry d;
+    std::memcpy(&d, bytes + i * sizeof(DiskEntry), sizeof(DiskEntry));
+    return d;
+  }
+
+  /// In-block search: the index of the first record whose key is >= `key`
+  /// (`count` when there is none).
+  uint64_t Seek(uint64_t key) const {
+    uint64_t lo = 0;
+    uint64_t hi = count;
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (At(mid).key < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Whether the block holds `key`; its record lands in `*out`.
+  bool Find(uint64_t key, DiskEntry* out) const {
+    const uint64_t i = Seek(key);
+    if (i == count) return false;
+    *out = At(i);
+    return out->key == key;
+  }
+};
 
 /// One immutable sorted run persisted as an append-only file. Fence
 /// pointers (first key per block) and the Bloom filter stay in memory;
@@ -173,6 +139,37 @@ struct FileRun {
     if (fd >= 0) ::close(fd);
   }
   size_t num_blocks() const { return fence.size(); }
+
+  /// Fence search: the block whose first key is the greatest <= `key`.
+  size_t FenceBlock(uint64_t key) const {
+    const auto it = std::upper_bound(fence.begin(), fence.end(), key);
+    return static_cast<size_t>(it - fence.begin()) - 1;
+  }
+
+  /// Point-probe candidate: the block that may hold `key` after the range
+  /// check, the Bloom check and the fence search; false when the run
+  /// cannot hold it.
+  bool CandidateBlock(uint64_t key, size_t* blk) const {
+    if (key < min_key || key > max_key || !filter.MayContain(key)) {
+      return false;
+    }
+    *blk = FenceBlock(key);
+    return true;
+  }
+
+  /// Block `blk`'s records within `bytes` (the block's contents).
+  BlockView View(size_t blk, const char* bytes, uint64_t block_bytes) const {
+    const uint64_t epb = EntriesPerBlock(block_bytes);
+    return BlockView{bytes, std::min(epb, num_entries - blk * epb)};
+  }
+
+  /// Reads block `blk` into `buf` (one pread; aborts on a short read).
+  /// Uncounted: callers charge the read where it is workload cost.
+  void ReadBlock(size_t blk, uint64_t block_bytes, char* buf) const {
+    const ssize_t n = ::pread(fd, buf, block_bytes,
+                              static_cast<off_t>(blk * block_bytes));
+    SysCheck(n == static_cast<ssize_t>(block_bytes), "pread", path);
+  }
 };
 using FileRunPtr = std::shared_ptr<FileRun>;
 
@@ -188,14 +185,6 @@ struct Clock {
     return sim::DeviceSnapshot{block_reads, block_writes, elapsed_ns};
   }
 };
-
-inline uint64_t EntriesPerBlock(uint64_t block_bytes) {
-  return block_bytes / sizeof(DiskEntry);
-}
-
-inline const DiskEntry* BlockRecords(const std::vector<char>& block) {
-  return reinterpret_cast<const DiskEntry*>(block.data());
-}
 
 inline lsm::Entry ToEntry(const DiskEntry& d) {
   return lsm::Entry{d.key, d.value, (d.flags & kTombstoneFlag) != 0};
@@ -255,7 +244,7 @@ struct FileEngine::Shard final : public ShardStore {
   std::map<uint64_t, lsm::Entry> memtable;
   /// levels[l] holds runs oldest-to-newest (read newest first).
   std::vector<std::vector<fileio::FileRunPtr>> levels;
-  fileio::ContentCache cache{0};
+  fileio::BlockCache cache{0};
   fileio::Clock clock;
   EngineCounters counters;
   uint64_t next_run_id = 1;
@@ -290,13 +279,12 @@ struct FileEngine::Shard final : public ShardStore {
   bool hibernated = false;
   uint64_t hib_memtable_size = 0;
   /// Per-level (run count, entry count) at hibernation time.
-  std::vector<std::pair<size_t, uint64_t>> hib_level_shape;
+  fileio::LevelShape hib_level_shape;
 };
 
 namespace {
 
 using fileio::AllocAligned;
-using fileio::BlockRecords;
 using fileio::DiskEntry;
 using fileio::EntriesPerBlock;
 using fileio::FileRun;
@@ -313,14 +301,11 @@ namespace fs = std::filesystem;
 /// caller and the cache.
 fileio::BlockPtr FetchBlock(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                             const FileRun& run, size_t blk) {
-  const uint64_t key = fileio::CacheKey(run.id, blk);
-  if (fileio::BlockPtr hit = sh.cache.Lookup(key)) return hit;
-  const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
-                            static_cast<off_t>(blk * cfg.block_bytes));
-  SysCheck(n == static_cast<ssize_t>(cfg.block_bytes), "pread", run.path);
-  auto block = std::make_shared<std::vector<char>>(
-      sh.scratch.get(), sh.scratch.get() + cfg.block_bytes);
+  const uint64_t key = lsm::BlockCache::MakeKey(run.id, blk);
+  if (const fileio::BlockPtr* hit = sh.cache.Find(key)) return *hit;
+  run.ReadBlock(blk, cfg.block_bytes, sh.scratch.get());
   ++sh.clock.block_reads;
+  fileio::BlockPtr block = fileio::CopyBlock(sh.scratch.get(), cfg.block_bytes);
   sh.cache.Insert(key, block);
   return block;
 }
@@ -336,17 +321,10 @@ bool DurableSync(const FileEngineConfig& cfg) {
 /// Manifest-side metadata of a built run: everything recovery needs to
 /// reopen it without reading a block.
 fileio::ManifestRunMeta RunMetaOf(const FileRun& run) {
-  fileio::ManifestRunMeta meta;
-  meta.id = run.id;
-  meta.num_entries = run.num_entries;
-  meta.min_key = run.min_key;
-  meta.max_key = run.max_key;
-  meta.fence = run.fence;
-  meta.bloom_bits = run.filter.memory_bits();
-  meta.bloom_hashes = static_cast<uint32_t>(run.filter.num_hashes());
-  meta.bloom_bpk = run.filter.bits_per_key();
-  meta.bloom_words = run.filter.words();
-  return meta;
+  return {run.id, run.num_entries, run.min_key, run.max_key, run.fence,
+          run.filter.memory_bits(),
+          static_cast<uint32_t>(run.filter.num_hashes()),
+          run.filter.bits_per_key(), run.filter.words()};
 }
 
 /// The live shard's full structural state, as a manifest rotation
@@ -376,6 +354,21 @@ void MaybeRotateManifest(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   sh.manifest->MaybeRotate(SnapshotShardState(sh), cfg.manifest_rotate_records);
 }
 
+std::string RunPath(const std::string& dir, uint64_t id) {
+  return dir + "/run_" + std::to_string(id) + ".cam";
+}
+
+/// The memtable's entries in key order.
+std::vector<lsm::Entry> MemtableEntries(const FileEngine::Shard& sh) {
+  std::vector<lsm::Entry> entries;
+  entries.reserve(sh.memtable.size());
+  for (const auto& [key, entry] : sh.memtable) {
+    (void)key;
+    entries.push_back(entry);
+  }
+  return entries;
+}
+
 /// Builds one run file from sorted, deduplicated `entries`: serializes
 /// them into block-aligned pages, writes the file append-only (one pass,
 /// never modified again), and opens it for reads.
@@ -388,7 +381,7 @@ FileRunPtr BuildRun(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
   auto run = std::make_shared<FileRun>();
   run->id = sh.next_run_id++;
-  run->path = sh.dir + "/run_" + std::to_string(run->id) + ".cam";
+  run->path = RunPath(sh.dir, run->id);
   run->num_entries = entries.size();
   run->min_key = entries.front().key;
   run->max_key = entries.back().key;
@@ -446,6 +439,17 @@ uint64_t LevelEntries(const std::vector<FileRunPtr>& level) {
   return total;
 }
 
+/// Per-level (run count, entry count) of the shard's file set; the frozen
+/// residual while hibernated.
+fileio::LevelShape LevelShapeOf(const FileEngine::Shard& sh) {
+  if (sh.hibernated) return sh.hib_level_shape;
+  fileio::LevelShape shape;
+  for (const auto& level : sh.levels) {
+    shape.emplace_back(level.size(), LevelEntries(level));
+  }
+  return shape;
+}
+
 /// Bits-per-key for a new run: the shard's Bloom budget spread uniformly
 /// over its (post-build) disk entries. Uniform rather than Monkey-curved:
 /// the real backend validates *budget* tunings; the per-level curve is a
@@ -461,17 +465,15 @@ double BloomBpk(const FileEngine::Shard& sh, uint64_t incoming) {
 /// out of the scratch buffer — no per-block heap allocation at all.
 void ReadAllEntries(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     const FileRun& run, std::vector<lsm::Entry>* out) {
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
   for (size_t blk = 0; blk < run.num_blocks(); ++blk) {
-    const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
-                              static_cast<off_t>(blk * cfg.block_bytes));
-    SysCheck(n == static_cast<ssize_t>(cfg.block_bytes), "pread", run.path);
+    run.ReadBlock(blk, cfg.block_bytes, sh.scratch.get());
     ++sh.clock.block_reads;
     ++sh.counters.compaction_block_reads;
-    const uint64_t begin = blk * epb;
-    const uint64_t count = std::min(epb, run.num_entries - begin);
-    const auto* records = reinterpret_cast<const DiskEntry*>(sh.scratch.get());
-    for (uint64_t i = 0; i < count; ++i) out->push_back(ToEntry(records[i]));
+    const fileio::BlockView view =
+        run.View(blk, sh.scratch.get(), cfg.block_bytes);
+    for (uint64_t i = 0; i < view.count; ++i) {
+      out->push_back(ToEntry(view.At(i)));
+    }
   }
 }
 
@@ -489,22 +491,15 @@ void MergeLevelDown(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     if (!sh.levels[d].empty()) deeper_data = true;
   }
 
-  // Newest-first insertion keeps the freshest version of each key (the
-  // level's runs are stored oldest-to-newest).
-  std::map<uint64_t, lsm::Entry> merged;
-  for (auto it = inputs.rbegin(); it != inputs.rend(); ++it) {
-    std::vector<lsm::Entry> entries;
-    ReadAllEntries(sh, cfg, **it, &entries);
-    for (const lsm::Entry& e : entries) merged.emplace(e.key, e);
+  // The level's runs are stored oldest-to-newest; the merge wants them
+  // newest first.
+  std::vector<std::vector<lsm::Entry>> newest_first(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    ReadAllEntries(sh, cfg, *inputs[inputs.size() - 1 - i], &newest_first[i]);
   }
-
-  std::vector<lsm::Entry> out;
-  out.reserve(merged.size());
-  for (auto& [key, entry] : merged) {
-    (void)key;
-    if (entry.tombstone && !deeper_data) continue;  // nothing left to shadow
-    out.push_back(entry);
-  }
+  // Tombstones drop when nothing deeper is left to shadow.
+  std::vector<lsm::Entry> out =
+      lsm::MergeRuns(newest_first, /*drop_tombstones=*/!deeper_data);
 
   uint64_t drained = 0;
   for (const FileRunPtr& r : inputs) drained += r->num_entries;
@@ -551,12 +546,7 @@ void Normalize(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 void FlushShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                 bool direct_io) {
   if (sh.memtable.empty()) return;
-  std::vector<lsm::Entry> entries;
-  entries.reserve(sh.memtable.size());
-  for (const auto& [key, entry] : sh.memtable) {
-    (void)key;
-    entries.push_back(entry);
-  }
+  std::vector<lsm::Entry> entries = MemtableEntries(sh);
   sh.memtable.clear();
   if (sh.levels.empty()) sh.levels.resize(1);
   const uint64_t incoming = entries.size();
@@ -600,28 +590,16 @@ bool DoGet(FileEngine::Shard& sh, const FileEngineConfig& cfg, uint64_t key,
     if (value != nullptr) *value = it->second.value;
     return true;
   }
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
   for (const auto& level : sh.levels) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
       const FileRun& run = **rit;
-      if (key < run.min_key || key > run.max_key) continue;
-      if (!run.filter.MayContain(key)) continue;
-      // Fence search: the block whose first key is the greatest <= key.
-      const auto fit =
-          std::upper_bound(run.fence.begin(), run.fence.end(), key);
-      const size_t blk =
-          static_cast<size_t>(std::distance(run.fence.begin(), fit)) - 1;
+      size_t blk = 0;
+      if (!run.CandidateBlock(key, &blk)) continue;
       const fileio::BlockPtr block = FetchBlock(sh, cfg, run, blk);
-      const uint64_t begin = blk * epb;
-      const uint64_t count = std::min(epb, run.num_entries - begin);
-      const DiskEntry* records = BlockRecords(*block);
-      const DiskEntry* end = records + count;
-      const DiskEntry* found = std::lower_bound(
-          records, end, key,
-          [](const DiskEntry& d, uint64_t k) { return d.key < k; });
-      if (found != end && found->key == key) {
-        if (found->flags & kTombstoneFlag) return false;
-        if (value != nullptr) *value = found->value;
+      DiskEntry found;
+      if (run.View(blk, block->data(), cfg.block_bytes).Find(key, &found)) {
+        if (found.flags & kTombstoneFlag) return false;
+        if (value != nullptr) *value = found.value;
         return true;
       }
       // Bloom false positive: the block read was paid in vain, exactly
@@ -672,7 +650,68 @@ void SetupShardRing(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   }
 }
 
-constexpr uint64_t kSnapMagic = 0x43414d5348494253ULL;  // "CAMSHIBS"
+/// Gives a live shard its read-path state: the block cache at its
+/// options' capacity, the scratch buffer, and the ring.
+void OpenReadPath(FileEngine::Shard& sh, const FileEngineConfig& cfg,
+                  bool engine_uring) {
+  sh.cache.Resize(sh.options.block_cache_bytes / cfg.block_bytes);
+  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
+  sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
+  SetupShardRing(sh, cfg, engine_uring);
+}
+
+std::string SidecarPath(const std::string& dir) {
+  return dir + "/hibernate.snap";
+}
+
+/// A shard's hibernation sidecar: a record file of three CRC-framed
+/// records — the structural state (the manifest's snapshot codec: run
+/// metadata with fences and Bloom internals), the memtable (one WAL-format
+/// record) and the cache keys, most recent first.
+struct Sidecar {
+  fileio::RecoveredShardState state;
+  fileio::WalReplayRecord memtable;
+  std::vector<uint64_t> cache_keys;
+};
+
+/// Reads the sidecar at `path`. False unless it exists and parses whole:
+/// exactly three CRC-valid records, each decoding to its last byte.
+bool ReadSidecar(const std::string& path, Sidecar* out) {
+  const fileio::RecordFileContents file = fileio::ReadRecordFile(path);
+  if (!file.exists || file.torn_tail || file.records.size() != 3) return false;
+  if (!fileio::DecodeShardState(file.records[0], &out->state) ||
+      !fileio::DecodeWalRecord(file.records[1], &out->memtable)) {
+    return false;
+  }
+  fileio::ByteReader keys(file.records[2]);
+  out->cache_keys = keys.U64Vec();
+  return keys.ok() && keys.AtEnd();
+}
+
+/// Reopens the runs `levels` describes as the shard's file set. Fences and
+/// Bloom filters come from the metadata, so not one block is read.
+void OpenLevels(FileEngine::Shard& sh,
+                std::vector<std::vector<fileio::ManifestRunMeta>> levels,
+                bool direct_io) {
+  sh.levels.resize(levels.size());
+  for (size_t l = 0; l < levels.size(); ++l) {
+    sh.levels[l].reserve(levels[l].size());
+    for (fileio::ManifestRunMeta& meta : levels[l]) {
+      auto run = std::make_shared<FileRun>();
+      run->id = meta.id;
+      run->path = RunPath(sh.dir, meta.id);
+      run->num_entries = meta.num_entries;
+      run->min_key = meta.min_key;
+      run->max_key = meta.max_key;
+      run->fence = std::move(meta.fence);
+      run->filter = lsm::BloomFilter::FromParts(
+          std::move(meta.bloom_words), meta.bloom_bits,
+          static_cast<int>(meta.bloom_hashes), meta.bloom_bpk);
+      run->fd = fileio::OpenRead(run->path, direct_io);
+      sh.levels[l].push_back(std::move(run));
+    }
+  }
+}
 
 /// Persists a shard's in-memory structures into its sidecar file and
 /// releases them. The sidecar carries everything materialization cannot
@@ -687,63 +726,22 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   // install is lost to a crash, replay still rebuilds the memtable).
   if (sh.wal != nullptr) sh.wal->Commit();
 
-  const std::string path = sh.dir + "/hibernate.snap";
-  std::string image;
-  auto w64 = [&](uint64_t v) {
-    image.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  auto wbuf = [&](const void* p, size_t n) {
-    image.append(static_cast<const char*>(p), n);
-  };
+  const std::vector<lsm::Entry> memtable = MemtableEntries(sh);
+  fileio::ByteWriter keys;
+  keys.U64Vec(sh.cache.Freeze().keys_mru_to_lru);
+  const std::string path = SidecarPath(sh.dir);
+  SysCheck(fileio::InstallRecordFile(
+               cfg.file_ops, path,
+               {fileio::EncodeShardState(SnapshotShardState(sh)),
+                fileio::EncodeWalRecord(sh.wal_epoch, memtable.data(),
+                                        memtable.size()),
+                keys.Take()},
+               DurableSync(cfg)),
+           "install(hibernate)", path);
 
-  w64(kSnapMagic);
-  w64(sh.memtable.size());
-  for (const auto& [key, e] : sh.memtable) {
-    (void)key;
-    DiskEntry d{e.key, e.value, e.tombstone ? kTombstoneFlag : 0};
-    wbuf(&d, sizeof(d));
-  }
-  w64(sh.levels.size());
-  for (const auto& level : sh.levels) {
-    w64(level.size());
-    for (const FileRunPtr& r : level) {
-      w64(r->id);
-      w64(r->num_entries);
-      w64(r->min_key);
-      w64(r->max_key);
-      w64(r->fence.size());
-      wbuf(r->fence.data(), r->fence.size() * sizeof(uint64_t));
-      w64(r->filter.memory_bits());
-      w64(static_cast<uint64_t>(r->filter.num_hashes()));
-      const double bpk = r->filter.bits_per_key();
-      wbuf(&bpk, sizeof(bpk));
-      const auto& words = r->filter.words();
-      w64(words.size());
-      wbuf(words.data(), words.size() * sizeof(uint64_t));
-    }
-  }
-  const std::vector<uint64_t> keys = sh.cache.KeysMruToLru();
-  w64(keys.size());
-  wbuf(keys.data(), keys.size() * sizeof(uint64_t));
-
-  // Install atomically: write a tmp image, (durably) complete it, then
-  // rename into place — a crash leaves either no sidecar or a whole one,
-  // never a torn one.
-  fileio::FileOps* ops = cfg.file_ops;
-  const std::string tmp = path + ".tmp";
-  ops->Unlink(tmp);  // a crashed predecessor's leftovers
-  const int fd = ops->Open(tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  SysCheck(fd >= 0, "open(hibernate)", tmp);
-  size_t off = 0;
-  while (off < image.size()) {
-    const int64_t n = ops->PWrite(fd, image.data() + off, image.size() - off,
-                                  off);
-    SysCheck(n > 0, "pwrite(hibernate)", tmp);
-    off += static_cast<size_t>(n);
-  }
-  if (DurableSync(cfg)) SysCheck(ops->Fsync(fd) == 0, "fsync(hibernate)", tmp);
-  ops->Close(fd);
-  SysCheck(ops->Rename(tmp, path) == 0, "rename(hibernate)", path);
+  // Cheap residuals keep size/transition queries answerable while asleep.
+  sh.hib_memtable_size = sh.memtable.size();
+  sh.hib_level_shape = LevelShapeOf(sh);
 
   // Registering the sidecar in the manifest is what makes hibernation
   // survive the process: a reopened engine sees the kHibernate record and
@@ -751,12 +749,7 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
   // manifest still says "live" and recovery takes the WAL path (the stray
   // sidecar is swept as an orphan).
   if (sh.manifest != nullptr) {
-    std::vector<std::pair<uint64_t, uint64_t>> shape;
-    shape.reserve(sh.levels.size());
-    for (const auto& level : sh.levels) {
-      shape.emplace_back(level.size(), LevelEntries(level));
-    }
-    sh.manifest->LogHibernate(sh.memtable.size(), shape);
+    sh.manifest->LogHibernate(sh.hib_memtable_size, sh.hib_level_shape);
     // A hibernated shard holds no descriptors: the log writers close too
     // (the record count survives in a residual for the wake reopen).
     sh.manifest_records = sh.manifest->record_count();
@@ -764,15 +757,8 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
     sh.wal.reset();
   }
 
-  // Cheap residuals keep size/transition queries answerable while asleep.
-  sh.hib_memtable_size = sh.memtable.size();
-  sh.hib_level_shape.clear();
-  for (const auto& level : sh.levels) {
-    sh.hib_level_shape.emplace_back(level.size(), LevelEntries(level));
-  }
   sh.memtable.clear();
   sh.levels.clear();  // closes every run fd
-  sh.cache.Resize(0);
   sh.scratch.reset();
   sh.ring.reset();
   sh.ring_bufs.clear();
@@ -785,64 +771,29 @@ void HibernateShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg) {
 /// refills the block cache to its exact pre-hibernation recency order
 /// with uncounted preads. The woken shard behaves bit-identically — same
 /// lookup outcomes, same charged reads, same LRU evolution — to one that
-/// never slept.
+/// never slept. A sidecar that does not parse whole aborts the process:
+/// its bytes are never served.
 void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                     bool direct_io, bool engine_uring) {
-  const std::string path = sh.dir + "/hibernate.snap";
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  SysCheck(f != nullptr, "fopen(wake)", path);
-  auto r64 = [&]() {
-    uint64_t v = 0;
-    SysCheck(std::fread(&v, sizeof(v), 1, f) == 1, "fread", path);
-    return v;
-  };
-  auto rbuf = [&](void* p, size_t n) {
-    if (n == 0) return;
-    SysCheck(std::fread(p, 1, n, f) == n, "fread", path);
-  };
-
-  CAMAL_CHECK(r64() == kSnapMagic);
-  const uint64_t mem_count = r64();
-  for (uint64_t i = 0; i < mem_count; ++i) {
-    DiskEntry d;
-    rbuf(&d, sizeof(d));
-    sh.memtable.emplace_hint(sh.memtable.end(), d.key, ToEntry(d));
+  const std::string path = SidecarPath(sh.dir);
+  Sidecar snap;
+  if (!ReadSidecar(path, &snap)) {
+    std::fprintf(stderr,
+                 "FileEngine: hibernation sidecar '%s' is missing or fails "
+                 "its CRC/decode check\n",
+                 path.c_str());
+    std::abort();
   }
-  const uint64_t num_levels = r64();
-  sh.levels.resize(num_levels);
+  for (const lsm::Entry& e : snap.memtable.entries) {
+    sh.memtable.emplace_hint(sh.memtable.end(), e.key, e);
+  }
+  OpenLevels(sh, std::move(snap.state.levels), direct_io);
   std::unordered_map<uint64_t, const FileRun*> run_by_id;
-  for (uint64_t l = 0; l < num_levels; ++l) {
-    const uint64_t num_runs = r64();
-    sh.levels[l].reserve(num_runs);
-    for (uint64_t ri = 0; ri < num_runs; ++ri) {
-      auto run = std::make_shared<FileRun>();
-      run->id = r64();
-      run->num_entries = r64();
-      run->min_key = r64();
-      run->max_key = r64();
-      run->path = sh.dir + "/run_" + std::to_string(run->id) + ".cam";
-      run->fence.resize(r64());
-      rbuf(run->fence.data(), run->fence.size() * sizeof(uint64_t));
-      const uint64_t num_bits = r64();
-      const int num_hashes = static_cast<int>(r64());
-      double bpk = 0.0;
-      rbuf(&bpk, sizeof(bpk));
-      std::vector<uint64_t> words(r64());
-      rbuf(words.data(), words.size() * sizeof(uint64_t));
-      run->filter = lsm::BloomFilter::FromParts(std::move(words), num_bits,
-                                                num_hashes, bpk);
-      run->fd = fileio::OpenRead(run->path, direct_io);
-      run_by_id.emplace(run->id, run.get());
-      sh.levels[l].push_back(std::move(run));
-    }
+  for (const auto& level : sh.levels) {
+    for (const FileRunPtr& run : level) run_by_id.emplace(run->id, run.get());
   }
 
-  sh.scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
-  const uint64_t capacity = sh.options.block_cache_bytes / cfg.block_bytes;
-  sh.cache.Resize(capacity);
-  std::vector<uint64_t> keys(r64());
-  rbuf(keys.data(), keys.size() * sizeof(uint64_t));
-  SysCheck(std::fclose(f) == 0, "fclose", path);
+  OpenReadPath(sh, cfg, engine_uring);
   cfg.file_ops->Unlink(path);
 
   if (cfg.durable) {
@@ -861,31 +812,24 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   // capacity, inserting least-recent first so promotion lands every key
   // in its original recency slot. Uncounted reads: the cache held these
   // bytes when the shard went to sleep.
-  const size_t restore = std::min<size_t>(keys.size(), capacity);
+  const std::vector<uint64_t>& keys = snap.cache_keys;
+  const size_t restore =
+      std::min<size_t>(keys.size(), sh.cache.capacity_blocks());
   for (size_t i = restore; i-- > 0;) {
-    const uint64_t ckey = keys[i];
-    const uint64_t run_id = ckey >> 22;
-    const uint64_t blk = ckey & ((1ULL << 22) - 1);
+    const auto [run_id, blk] = lsm::BlockCache::SplitKey(keys[i]);
     const auto rit = run_by_id.find(run_id);
     if (rit == run_by_id.end()) {
       // A block of a run a compaction has since deleted. Run ids are never
       // reused, so it is never read again, but it still holds an LRU slot
       // in a shard that never slept — so it holds one here too.
-      sh.cache.Insert(ckey, nullptr);
+      sh.cache.Insert(keys[i], nullptr);
       continue;
     }
-    const FileRun& run = *rit->second;
-    const ssize_t n = ::pread(run.fd, sh.scratch.get(), cfg.block_bytes,
-                              static_cast<off_t>(blk * cfg.block_bytes));
-    SysCheck(n == static_cast<ssize_t>(cfg.block_bytes), "pread(wake)",
-             run.path);
-    sh.cache.Insert(ckey, std::make_shared<std::vector<char>>(
-                              sh.scratch.get(),
-                              sh.scratch.get() + cfg.block_bytes));
+    rit->second->ReadBlock(blk, cfg.block_bytes, sh.scratch.get());
+    sh.cache.Insert(keys[i],
+                    fileio::CopyBlock(sh.scratch.get(), cfg.block_bytes));
   }
 
-  sh.io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(sh, cfg, engine_uring);
   sh.hibernated = false;
   sh.hib_memtable_size = 0;
   sh.hib_level_shape.clear();
@@ -920,7 +864,6 @@ void WakeShardState(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                       const Op* ops, const size_t* op_idx, size_t window,
                       OpResult* results) {
-  const uint64_t epb = EntriesPerBlock(cfg.block_bytes);
   const uint32_t depth = sh.io_depth;
   const double t0 = NowNs();
 
@@ -933,15 +876,18 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     }
   }
 
+  struct Fetch {
+    uint64_t key = 0;  // cache key
+    const FileRun* run = nullptr;
+    size_t blk = 0;
+  };
   struct GetState {
     uint64_t key = 0;
     size_t next_run = 0;  // next probe[] candidate to consider
     bool resolved = false;
     bool found = false;
-    bool waiting = false;  // parked on pending_key's content
-    uint64_t pending_key = 0;
-    const FileRun* pending_run = nullptr;
-    size_t pending_blk = 0;
+    bool waiting = false;  // parked on pending's content
+    Fetch pending;
     std::vector<uint64_t> accesses;  // cache keys, in probe order
   };
   std::vector<GetState> states(window);
@@ -949,21 +895,13 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   // Window content table: block bytes by cache key, filled from cache
   // peeks and ring completions. Replay inserts into the cache from here.
   std::unordered_map<uint64_t, fileio::BlockPtr> contents;
-  // Ops parked on a block that is queued or in flight.
+  // Ops parked on a block that is queued or in flight; a block has an
+  // entry exactly while its fetch is pending, which dedups fetches.
   std::unordered_map<uint64_t, std::vector<size_t>> waiters;
-  // Blocks requested but not yet completed (dedups fetches).
-  std::unordered_set<uint64_t> requested;
-  struct Fetch {
-    uint64_t key = 0;
-    const FileRun* run = nullptr;
-    size_t blk = 0;
-  };
   std::deque<Fetch> backlog;  // waiting for a free ring slot
-  std::vector<uint64_t> slot_key(depth, 0);
-  std::vector<const FileRun*> slot_run(depth, nullptr);
-  std::vector<uint32_t> free_slots;
-  free_slots.reserve(depth);
-  for (uint32_t i = 0; i < depth; ++i) free_slots.push_back(i);
+  std::vector<Fetch> slots(depth);  // the fetch each ring slot serves
+  std::vector<uint32_t> free_slots(depth);
+  std::iota(free_slots.begin(), free_slots.end(), 0u);
   uint32_t inflight = 0;
 
   // Advances one op until it resolves or parks on a block that is not
@@ -972,19 +910,14 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     GetState& st = states[si];
     while (!st.resolved) {
       if (st.waiting) {
-        auto cit = contents.find(st.pending_key);
+        auto cit = contents.find(st.pending.key);
         if (cit == contents.end()) return;  // still in flight
         st.waiting = false;
-        const FileRun& run = *st.pending_run;
-        const uint64_t begin = st.pending_blk * epb;
-        const uint64_t count = std::min(epb, run.num_entries - begin);
-        const DiskEntry* records = BlockRecords(*cit->second);
-        const DiskEntry* end = records + count;
-        const DiskEntry* hit = std::lower_bound(
-            records, end, st.key,
-            [](const DiskEntry& d, uint64_t k) { return d.key < k; });
-        if (hit != end && hit->key == st.key) {
-          st.found = (hit->flags & kTombstoneFlag) == 0;
+        const Fetch& p = st.pending;
+        DiskEntry hit;
+        if (p.run->View(p.blk, cit->second->data(), cfg.block_bytes)
+                .Find(st.key, &hit)) {
+          st.found = (hit.flags & kTombstoneFlag) == 0;
           st.resolved = true;
           return;
         }
@@ -992,33 +925,26 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
       }
       const FileRun* run = nullptr;
       size_t blk = 0;
-      while (st.next_run < probe.size()) {
+      while (run == nullptr && st.next_run < probe.size()) {
         const FileRun* r = probe[st.next_run++];
-        if (st.key < r->min_key || st.key > r->max_key) continue;
-        if (!r->filter.MayContain(st.key)) continue;
-        const auto fit =
-            std::upper_bound(r->fence.begin(), r->fence.end(), st.key);
-        blk = static_cast<size_t>(std::distance(r->fence.begin(), fit)) - 1;
-        run = r;
-        break;
+        if (r->CandidateBlock(st.key, &blk)) run = r;
       }
       if (run == nullptr) {
         st.resolved = true;  // every candidate exhausted: a miss
         return;
       }
-      const uint64_t ckey = fileio::CacheKey(run->id, blk);
+      const uint64_t ckey = lsm::BlockCache::MakeKey(run->id, blk);
       st.accesses.push_back(ckey);
-      st.pending_key = ckey;
-      st.pending_run = run;
-      st.pending_blk = blk;
+      st.pending = Fetch{ckey, run, blk};
       st.waiting = true;
       if (contents.count(ckey) != 0) continue;  // fetched earlier this window
-      if (fileio::BlockPtr peeked = sh.cache.Peek(ckey)) {
-        contents.emplace(ckey, std::move(peeked));
+      if (const fileio::BlockPtr* peeked = sh.cache.Peek(ckey)) {
+        contents.emplace(ckey, *peeked);
         continue;
       }
-      if (requested.insert(ckey).second) backlog.push_back(Fetch{ckey, run, blk});
-      waiters[ckey].push_back(si);
+      std::vector<size_t>& parked = waiters[ckey];
+      if (parked.empty()) backlog.push_back(st.pending);
+      parked.push_back(si);
       return;
     }
   };
@@ -1030,8 +956,7 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
       backlog.pop_front();
       const uint32_t slot = free_slots.back();
       free_slots.pop_back();
-      slot_key[slot] = f.key;
-      slot_run[slot] = f.run;
+      slots[slot] = f;
       const bool prepped =
           sh.ring->PrepRead(f.run->fd, sh.ring_bufs[slot].get(),
                             static_cast<unsigned>(cfg.block_bytes),
@@ -1066,14 +991,11 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
       SysCheck(n > 0, "io_uring_enter(wait)", sh.dir);
       for (const fileio::IoRing::Completion& c : comps) {
         const auto slot = static_cast<uint32_t>(c.user_data);
-        const FileRun* run = slot_run[slot];
         SysCheck(c.result == static_cast<int32_t>(cfg.block_bytes),
-                 "ring read", run->path);
-        const uint64_t ckey = slot_key[slot];
-        contents.emplace(
-            ckey, std::make_shared<std::vector<char>>(
-                      sh.ring_bufs[slot].get(),
-                      sh.ring_bufs[slot].get() + cfg.block_bytes));
+                 "ring read", slots[slot].run->path);
+        const uint64_t ckey = slots[slot].key;
+        contents.emplace(ckey, fileio::CopyBlock(sh.ring_bufs[slot].get(),
+                                                 cfg.block_bytes));
         free_slots.push_back(slot);
         --inflight;
         auto wit = waiters.find(ckey);
@@ -1095,7 +1017,7 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
     CAMAL_CHECK(st.resolved);
     uint64_t ios = 0;
     for (uint64_t ckey : st.accesses) {
-      if (sh.cache.Lookup(ckey) != nullptr) continue;  // a (promoted) hit
+      if (sh.cache.Lookup(ckey)) continue;  // a (promoted) hit
       ++ios;
       auto cit = contents.find(ckey);
       CAMAL_CHECK(cit != contents.end());
@@ -1156,63 +1078,45 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
       } else if (start_key > run.max_key) {
         c.idx = c.end;
       } else {
-        const auto fit =
-            std::upper_bound(run.fence.begin(), run.fence.end(), start_key);
-        const size_t blk =
-            static_cast<size_t>(std::distance(run.fence.begin(), fit)) - 1;
+        const size_t blk = run.FenceBlock(start_key);
         c.block_data = FetchBlock(sh, cfg, run, blk);
         c.block = static_cast<int64_t>(blk);
-        const uint64_t begin = blk * epb;
-        const uint64_t count = std::min(epb, run.num_entries - begin);
-        const DiskEntry* records = BlockRecords(*c.block_data);
-        uint64_t i = 0;
-        while (i < count && records[i].key < start_key) ++i;
-        // i == count means the next block's first key >= start_key (the
+        // Seek == count means the next block's first key >= start_key (the
         // fence search guarantees it).
-        c.idx = begin + i;
+        c.idx = blk * epb +
+                run.View(blk, c.block_data->data(), cfg.block_bytes)
+                    .Seek(start_key);
       }
       cursors.push_back(std::move(c));
     }
   }
 
-  auto entry_at = [&](Cursor& c) -> lsm::Entry {
+  auto entry_at = [&](size_t s) -> lsm::Entry {
+    Cursor& c = cursors[s];
     if (c.run == nullptr) return c.mem[c.idx];
     const auto blk = static_cast<int64_t>(c.idx / epb);
     if (blk != c.block) {
       c.block_data = FetchBlock(sh, cfg, *c.run, static_cast<size_t>(blk));
       c.block = blk;
     }
-    return ToEntry(BlockRecords(*c.block_data)[c.idx % epb]);
+    return ToEntry(fileio::BlockView{c.block_data->data(), epb}.At(c.idx % epb));
   };
-  auto key_at = [&](Cursor& c) { return entry_at(c).key; };
 
   size_t added = 0;
-  while (added < max_entries) {
-    uint64_t min_key = std::numeric_limits<uint64_t>::max();
-    bool any = false;
-    for (Cursor& c : cursors) {
-      if (c.idx >= c.end) continue;
-      const uint64_t k = key_at(c);
-      if (!any || k < min_key) {
-        min_key = k;
-        any = true;
-      }
-    }
-    if (!any) break;
-    bool taken = false;
-    for (Cursor& c : cursors) {
-      if (c.idx >= c.end || key_at(c) != min_key) continue;
-      if (!taken) {
-        taken = true;
-        const lsm::Entry e = entry_at(c);
-        if (!e.tombstone) {
-          out->push_back(e);
-          ++added;
+  lsm::MergeNewestFirst(
+      cursors.size(), [&] { return added < max_entries; },
+      [&](size_t s) { return cursors[s].idx < cursors[s].end; },
+      [&](size_t s) { return entry_at(s).key; },
+      [&](size_t s, bool newest) {
+        if (newest) {
+          const lsm::Entry e = entry_at(s);
+          if (!e.tombstone) {
+            out->push_back(e);
+            ++added;
+          }
         }
-      }
-      ++c.idx;
-    }
-  }
+        ++cursors[s].idx;
+      });
   return added;
 }
 
@@ -1326,76 +1230,59 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
   sh->dir = dir;
   sh->wal_epoch = st.wal_epoch;
   sh->next_run_id = st.next_run_id;
-
-  // A manifest that says "hibernated" is believed only if the sidecar
-  // made it to disk; otherwise (crash in the hibernate window) the shard
-  // recovers live from run metadata + WAL.
-  const std::string sidecar = dir + "/hibernate.snap";
-  const bool hibernated = st.hibernated && fs::exists(sidecar);
-
-  // Sweep orphans: files the durable state does not reference — run files
-  // whose introducing record never committed, rotation/sidecar tmp files,
-  // a sidecar the manifest no longer claims.
-  {
-    std::set<std::string> keep = {"MANIFEST", "WAL"};
-    if (hibernated) keep.insert("hibernate.snap");
-    for (const auto& level : st.levels) {
-      for (const fileio::ManifestRunMeta& run : level) {
-        keep.insert("run_" + std::to_string(run.id) + ".cam");
-      }
-    }
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (keep.count(name) == 0) ops->Unlink(entry.path().string());
+  for (const auto& level : st.levels) {
+    for (const fileio::ManifestRunMeta& run : level) {
+      sh->disk_entries += run.num_entries;
     }
   }
 
+  // A manifest that says "hibernated" is believed only if the sidecar
+  // made it to disk whole; otherwise (crash in the hibernate window, a
+  // damaged or foreign-format sidecar) the shard recovers live from run
+  // metadata + WAL.
+  Sidecar sidecar;
+  const bool hibernated =
+      st.hibernated && ReadSidecar(SidecarPath(dir), &sidecar);
+
+  // Sweep orphans: files the durable state does not reference — run files
+  // whose introducing record never committed, rotation/sidecar tmp files,
+  // a sidecar the manifest no longer claims or recovery does not trust.
+  {
+    std::set<std::string> keep = {fileio::Manifest::PathFor(dir),
+                                  fileio::Wal::PathFor(dir)};
+    if (hibernated) keep.insert(SidecarPath(dir));
+    for (const auto& level : st.levels) {
+      for (const fileio::ManifestRunMeta& run : level) {
+        keep.insert(RunPath(dir, run.id));
+      }
+    }
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      const std::string path = entry.path().string();
+      if (keep.count(path) == 0) ops->Unlink(path);
+    }
+  }
+
+  // Truncate a torn manifest tail before anything appends after it.
   const bool sync = DurableSync(config_);
+  if (st.tail_torn) {
+    fileio::Manifest(ops, dir, sync, st.num_records)
+        .TruncateTail(st.valid_bytes);
+  }
   if (hibernated) {
     // Restored asleep: residuals only, no descriptors, no heap state —
     // the next touching op wakes it through the ordinary sidecar path.
     sh->hibernated = true;
     sh->hib_memtable_size = st.hib_memtable_entries;
-    for (const auto& [runs, entries] : st.hib_shape) {
-      sh->hib_level_shape.emplace_back(static_cast<size_t>(runs), entries);
-    }
-    for (const auto& level : st.levels) {
-      for (const fileio::ManifestRunMeta& run : level) {
-        sh->disk_entries += run.num_entries;
-      }
-    }
+    sh->hib_level_shape = std::move(st.hib_shape);
     sh->manifest_records = st.num_records;
-    if (st.tail_torn) {
-      fileio::Manifest temp(ops, dir, sync, st.num_records);
-      temp.TruncateTail(st.valid_bytes);
-    }
     AdoptStore(s, std::move(sh), ShardState::kHibernated);
     return;
   }
 
-  // Live shard: reopen every run straight from its logged metadata —
-  // fences and Blooms come from the manifest, so not one block is read or
-  // rebuilt. Recovery I/O is uncounted (clocks start at zero, like any
-  // fresh engine).
-  sh->levels.resize(st.levels.size());
-  for (size_t l = 0; l < st.levels.size(); ++l) {
-    sh->levels[l].reserve(st.levels[l].size());
-    for (fileio::ManifestRunMeta& meta : st.levels[l]) {
-      auto run = std::make_shared<FileRun>();
-      run->id = meta.id;
-      run->path = dir + "/run_" + std::to_string(meta.id) + ".cam";
-      run->num_entries = meta.num_entries;
-      run->min_key = meta.min_key;
-      run->max_key = meta.max_key;
-      run->fence = std::move(meta.fence);
-      run->filter = lsm::BloomFilter::FromParts(
-          std::move(meta.bloom_words), meta.bloom_bits,
-          static_cast<int>(meta.bloom_hashes), meta.bloom_bpk);
-      run->fd = fileio::OpenRead(run->path, direct_io_);
-      sh->disk_entries += run->num_entries;
-      sh->levels[l].push_back(std::move(run));
-    }
-  }
+  // Live shard: reopen every run straight from its logged metadata.
+  // Recovery I/O is uncounted (clocks start at zero, like any fresh
+  // engine).
+  OpenLevels(*sh, std::move(st.levels), direct_io_);
 
   // WAL tail replay: only records stamped with the recovered epoch are
   // live (older ones were flushed into a run before the epoch bumped);
@@ -1406,30 +1293,19 @@ void FileEngine::RecoverShard(size_t s, const std::string& dir) {
     for (const lsm::Entry& e : rec.entries) sh->memtable[e.key] = e;
   }
 
-  // Repair the logs: truncate torn manifest tails, rewrite the WAL to
-  // exactly the recovered memtable (dropping dead epochs and torn bytes),
-  // and compact the manifest if it has grown past the rotation threshold.
+  // Repair the logs: rewrite the WAL to exactly the recovered memtable
+  // (dropping dead epochs and torn bytes), and compact the manifest if it
+  // has grown past the rotation threshold.
   sh->manifest = std::make_unique<fileio::Manifest>(ops, dir, sync,
                                                     st.num_records);
-  if (st.tail_torn) sh->manifest->TruncateTail(st.valid_bytes);
   sh->wal = std::make_unique<fileio::Wal>(ops, dir, config_.wal_sync);
   sh->wal->Reset();
-  if (!sh->memtable.empty()) {
-    std::vector<lsm::Entry> entries;
-    entries.reserve(sh->memtable.size());
-    for (const auto& [key, e] : sh->memtable) {
-      (void)key;
-      entries.push_back(e);
-    }
-    sh->wal->Append(sh->wal_epoch, entries.data(), entries.size());
-    sh->wal->Commit();
-  }
+  const std::vector<lsm::Entry> entries = MemtableEntries(*sh);
+  sh->wal->Append(sh->wal_epoch, entries.data(), entries.size());
+  sh->wal->Commit();
   MaybeRotateManifest(*sh, config_);
 
-  sh->cache.Resize(sh->options.block_cache_bytes / config_.block_bytes);
-  sh->scratch = AllocAligned(config_.block_bytes, config_.block_bytes);
-  sh->io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(*sh, config_, use_uring_);
+  OpenReadPath(*sh, config_, use_uring_);
   AdoptStore(s, std::move(sh), ShardState::kMaterialized);
 }
 
@@ -1462,10 +1338,7 @@ void FileEngine::Shard::Open(const lsm::Options& opts) {
     manifest->LogInit(index, options);
     wal = std::make_unique<fileio::Wal>(cfg.file_ops, dir, cfg.wal_sync);
   }
-  cache.Resize(options.block_cache_bytes / cfg.block_bytes);
-  scratch = AllocAligned(cfg.block_bytes, cfg.block_bytes);
-  io_depth = 0;  // force SetupShardRing to resolve from scratch
-  SetupShardRing(*this, cfg, owner.use_uring_);
+  OpenReadPath(*this, cfg, owner.use_uring_);
 }
 
 void FileEngine::Shard::Freeze() {
@@ -1599,16 +1472,9 @@ bool FileEngine::Shard::ReconfigureFrozen(const lsm::Options& opts) {
 bool FileEngine::Shard::InTransition() const {
   // A hibernated shard judges its frozen shape against the (possibly
   // updated-in-place) options.
-  if (hibernated) {
-    for (size_t l = 0; l < hib_level_shape.size(); ++l) {
-      const auto& [runs, entries] = hib_level_shape[l];
-      if (options.LevelViolates(l, runs, entries)) return true;
-    }
-    return false;
-  }
-  for (size_t l = 0; l < levels.size(); ++l) {
-    const size_t runs = levels[l].size();
-    if (options.LevelViolates(l, runs, LevelEntries(levels[l]))) return true;
+  const fileio::LevelShape shape = LevelShapeOf(*this);
+  for (size_t l = 0; l < shape.size(); ++l) {
+    if (options.LevelViolates(l, shape[l].first, shape[l].second)) return true;
   }
   return false;
 }
@@ -1664,14 +1530,10 @@ size_t FileEngine::ShardRunCount(size_t s) const {
   const Shard* sh = ShardPtr(s);
   if (sh == nullptr) return 0;
   size_t runs = 0;
-  if (sh->hibernated) {
-    for (const auto& [count, entries] : sh->hib_level_shape) {
-      (void)entries;
-      runs += count;
-    }
-    return runs;
+  for (const auto& [count, entries] : LevelShapeOf(*sh)) {
+    (void)entries;
+    runs += count;
   }
-  for (const auto& level : sh->levels) runs += level.size();
   return runs;
 }
 

@@ -83,9 +83,12 @@ struct FileEngineConfig {
   /// Shard lifecycle: lazy instantiation (a cold shard holds no memtable,
   /// Bloom filters, cache, scratch buffers, or file descriptors) and
   /// idle-shard hibernation (a hibernated shard persists its in-memory
-  /// structures to an uncounted sidecar file next to its run files and
-  /// releases them; the next touching op rehydrates it). Both transitions
-  /// leave logical results, per-op I/O counts, and `EngineCounters`
+  /// structures to an uncounted sidecar next to its run files and
+  /// releases them; the next touching op rehydrates it). The sidecar is
+  /// three CRC-framed records — the manifest's shard-state snapshot, the
+  /// memtable as one WAL record, the cache keys — and a wake from one that
+  /// fails its check aborts instead of serving it. Both transitions leave
+  /// logical results, per-op I/O counts, and `EngineCounters`
   /// bit-identical to an eager engine.
   ShardLifecycleConfig lifecycle;
 };
@@ -102,7 +105,8 @@ struct FileEngineConfig {
 /// shaped by `lsm::Options` (buffer size, size ratio T, policy,
 /// runs-per-level K), where every run is a real file and every read path
 /// block access is a real `pread` (or an io_uring read). Hibernation
-/// persists a shard's in-memory structures to an uncounted sidecar file.
+/// persists a shard's in-memory structures to an uncounted, CRC-framed
+/// sidecar file.
 ///
 /// Cost accounting is truthful, not simulated: per-shard clocks accumulate
 /// wall time measured around each operation plus real block read/write
@@ -114,8 +118,9 @@ struct FileEngineConfig {
 /// File layout: `workdir/shard_<s>/run_<id>.cam`, each an immutable
 /// append-only file of fixed-size blocks written once at flush/compaction
 /// time. Fence pointers (first key per block) and Bloom filters live in
-/// memory; reads fetch single blocks through a content-carrying LRU block
-/// cache sized by `Options::block_cache_bytes`.
+/// memory; reads fetch single blocks through the simulated tree's LRU
+/// (`lsm::BasicBlockCache`) carrying block bytes, sized by
+/// `Options::block_cache_bytes`.
 ///
 /// Determinism: given the same operation sequence, file structure, flush
 /// points, Bloom decisions, cache behavior, and therefore **all I/O

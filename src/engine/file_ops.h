@@ -5,10 +5,24 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace camal::engine::fileio {
+
+/// Aborts with errno context when a file operation failed: real-IO
+/// failures are environment errors the engine cannot recover from (same
+/// policy as CAMAL_CHECK).
+inline void SysCheck(bool ok, const char* what, const std::string& path) {
+  if (ok) return;
+  std::fprintf(stderr, "FileEngine: %s failed for '%s': %s\n", what,
+               path.c_str(), std::strerror(errno));
+  std::abort();
+}
 
 /// \brief Injectable seam for every *mutating* file operation of the
 /// real-IO backend (run-file builds, manifest/WAL appends, sidecar

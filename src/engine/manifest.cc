@@ -57,6 +57,24 @@ void EncodeRun(ByteWriter* w, const ManifestRunMeta& run) {
   w->U64Vec(run.bloom_words);
 }
 
+void EncodeShape(ByteWriter* w, const LevelShape& shape) {
+  w->U32(static_cast<uint32_t>(shape.size()));
+  for (const auto& [runs, entries] : shape) {
+    w->U64(runs);
+    w->U64(entries);
+  }
+}
+
+LevelShape DecodeShape(ByteReader* r) {
+  LevelShape shape;
+  const uint32_t n = r->U32();
+  for (uint32_t i = 0; i < n && r->ok(); ++i) {
+    const uint64_t runs = r->U64();
+    shape.emplace_back(runs, r->U64());
+  }
+  return shape;
+}
+
 ManifestRunMeta DecodeRun(ByteReader* r) {
   ManifestRunMeta run;
   run.id = r->U64();
@@ -69,29 +87,6 @@ ManifestRunMeta DecodeRun(ByteReader* r) {
   run.bloom_bpk = r->F64();
   run.bloom_words = r->U64Vec();
   return run;
-}
-
-std::string EncodeSnapshot(const RecoveredShardState& st, uint64_t shard) {
-  ByteWriter w;
-  w.U8(kSnapshot);
-  w.U32(kManifestVersion);
-  w.U64(shard);
-  EncodeOptions(&w, st.options);
-  w.U64(st.wal_epoch);
-  w.U64(st.next_run_id);
-  w.U32(static_cast<uint32_t>(st.levels.size()));
-  for (const auto& level : st.levels) {
-    w.U32(static_cast<uint32_t>(level.size()));
-    for (const ManifestRunMeta& run : level) EncodeRun(&w, run);
-  }
-  w.U8(st.hibernated ? 1 : 0);
-  w.U64(st.hib_memtable_entries);
-  w.U32(static_cast<uint32_t>(st.hib_shape.size()));
-  for (const auto& [runs, entries] : st.hib_shape) {
-    w.U64(runs);
-    w.U64(entries);
-  }
-  return w.Take();
 }
 
 /// Applies one decoded record to the replay state. Returns false when the
@@ -151,13 +146,7 @@ bool ApplyRecord(const std::string& payload, RecoveredShardState* st,
     case kHibernate: {
       st->hibernated = true;
       st->hib_memtable_entries = r.U64();
-      const uint32_t n = r.U32();
-      st->hib_shape.clear();
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint64_t runs = r.U64();
-        const uint64_t entries = r.U64();
-        st->hib_shape.emplace_back(runs, entries);
-      }
+      st->hib_shape = DecodeShape(&r);
       break;
     }
     case kWake: {
@@ -167,43 +156,14 @@ bool ApplyRecord(const std::string& payload, RecoveredShardState* st,
       break;
     }
     case kSnapshot: {
-      r.U32();  // version
-      r.U64();  // shard id
       RecoveredShardState snap;
-      snap.options = DecodeOptions(&r);
-      snap.wal_epoch = r.U64();
-      snap.next_run_id = r.U64();
-      const uint32_t num_levels = r.U32();
-      if (!r.ok()) return false;
-      snap.levels.resize(num_levels);
-      for (uint32_t l = 0; l < num_levels; ++l) {
-        const uint32_t num_runs = r.U32();
-        if (!r.ok()) return false;
-        snap.levels[l].reserve(num_runs);
-        for (uint32_t i = 0; i < num_runs; ++i) {
-          snap.levels[l].push_back(DecodeRun(&r));
-          if (!r.ok()) return false;
-        }
-      }
-      snap.hibernated = r.U8() == 1;
-      snap.hib_memtable_entries = r.U64();
-      const uint32_t shape = r.U32();
-      for (uint32_t i = 0; i < shape; ++i) {
-        const uint64_t runs = r.U64();
-        const uint64_t entries = r.U64();
-        snap.hib_shape.emplace_back(runs, entries);
-      }
-      if (!r.ok()) return false;
+      if (!DecodeShardState(payload, &snap)) return false;
       // The snapshot replaces all structural state accumulated so far.
-      st->options = snap.options;
-      st->wal_epoch = snap.wal_epoch;
-      st->levels = std::move(snap.levels);
-      st->hibernated = snap.hibernated;
-      st->hib_memtable_entries = snap.hib_memtable_entries;
-      st->hib_shape = std::move(snap.hib_shape);
       *max_run_id = std::max(*max_run_id, snap.next_run_id - 1);
+      snap.num_records = st->num_records;
+      *st = std::move(snap);
       *initialized = true;
-      break;
+      return true;
     }
     default:
       return false;  // unknown tag: cannot replay past it
@@ -212,6 +172,53 @@ bool ApplyRecord(const std::string& payload, RecoveredShardState* st,
 }
 
 }  // namespace
+
+std::string EncodeShardState(const RecoveredShardState& st) {
+  ByteWriter w;
+  w.U8(kSnapshot);
+  w.U32(kManifestVersion);
+  w.U64(0);  // shard id (engine derives it from the directory name)
+  EncodeOptions(&w, st.options);
+  w.U64(st.wal_epoch);
+  w.U64(st.next_run_id);
+  w.U32(static_cast<uint32_t>(st.levels.size()));
+  for (const auto& level : st.levels) {
+    w.U32(static_cast<uint32_t>(level.size()));
+    for (const ManifestRunMeta& run : level) EncodeRun(&w, run);
+  }
+  w.U8(st.hibernated ? 1 : 0);
+  w.U64(st.hib_memtable_entries);
+  EncodeShape(&w, st.hib_shape);
+  return w.Take();
+}
+
+bool DecodeShardState(const std::string& payload, RecoveredShardState* out) {
+  ByteReader r(payload);
+  if (r.U8() != kSnapshot) return false;
+  r.U32();  // version
+  r.U64();  // shard id
+  RecoveredShardState st;
+  st.options = DecodeOptions(&r);
+  st.wal_epoch = r.U64();
+  st.next_run_id = r.U64();
+  const uint32_t num_levels = r.U32();
+  // Every level costs at least its 4-byte run count: bound the resize by
+  // the bytes left so a corrupt count cannot allocate wildly.
+  if (!r.ok() || num_levels > r.Remaining() / 4) return false;
+  st.levels.resize(num_levels);
+  for (auto& level : st.levels) {
+    const uint32_t num_runs = r.U32();
+    for (uint32_t i = 0; i < num_runs && r.ok(); ++i) {
+      level.push_back(DecodeRun(&r));
+    }
+  }
+  st.hibernated = r.U8() == 1;
+  st.hib_memtable_entries = r.U64();
+  st.hib_shape = DecodeShape(&r);
+  if (!r.ok() || !r.AtEnd()) return false;
+  *out = std::move(st);
+  return true;
+}
 
 bool RecoverManifest(const std::string& path, RecoveredShardState* out) {
   RecordFileContents log = ReadRecordFile(path);
@@ -297,17 +304,12 @@ void Manifest::LogCompact(uint32_t src_level,
   Log(w.Take());
 }
 
-void Manifest::LogHibernate(
-    uint64_t memtable_entries,
-    const std::vector<std::pair<uint64_t, uint64_t>>& shape) {
+void Manifest::LogHibernate(uint64_t memtable_entries,
+                            const LevelShape& shape) {
   ByteWriter w;
   w.U8(kHibernate);
   w.U64(memtable_entries);
-  w.U32(static_cast<uint32_t>(shape.size()));
-  for (const auto& [runs, entries] : shape) {
-    w.U64(runs);
-    w.U64(entries);
-  }
+  EncodeShape(&w, shape);
   Log(w.Take());
 }
 
@@ -324,19 +326,11 @@ bool Manifest::MaybeRotate(const RecoveredShardState& state,
 }
 
 bool Manifest::Rotate(const RecoveredShardState& state) {
-  const std::string tmp = path_ + ".tmp";
-  // A stale tmp from an earlier crashed rotation would otherwise make the
-  // fresh writer append after its leftovers.
-  ops_->Unlink(tmp);
-  {
-    RecordWriter snap(ops_, tmp);
-    snap.Append(EncodeSnapshot(state, /*shard=*/0));
-    snap.Commit();
-    snap.Sync();  // the snapshot must be complete before it can be named
-  }
-  if (ops_->Rename(tmp, path_) != 0) {
-    // Rotation is an optimization; the long log stays authoritative.
-    ops_->Unlink(tmp);
+  // Rotation always syncs: the snapshot replaces the whole log. A failed
+  // rename is tolerated — rotation is an optimization, and the long log
+  // stays authoritative.
+  if (!InstallRecordFile(ops_, path_, {EncodeShardState(state)},
+                         /*sync=*/true)) {
     return false;
   }
   // The old inode is orphaned; reopen the writer on the new file.

@@ -51,6 +51,10 @@ struct ManifestRunMeta {
   std::vector<uint64_t> bloom_words;
 };
 
+/// Per-level (run count, entry count): a hibernated shard's residual
+/// shape.
+using LevelShape = std::vector<std::pair<uint64_t, uint64_t>>;
+
 /// The state a manifest replay yields — everything the engine needs to
 /// rebuild a shard minus the WAL tail (memtable contents).
 struct RecoveredShardState {
@@ -68,14 +72,25 @@ struct RecoveredShardState {
   std::vector<std::vector<ManifestRunMeta>> levels;
   bool hibernated = false;
   uint64_t hib_memtable_entries = 0;
-  /// Per-level (run count, entry count) residuals while hibernated.
-  std::vector<std::pair<uint64_t, uint64_t>> hib_shape;
+  /// Per-level residuals while hibernated.
+  LevelShape hib_shape;
   /// Parse telemetry: bytes of intact log (truncation point when torn),
   /// whether a torn tail followed, and how many records replayed.
   uint64_t valid_bytes = 0;
   bool tail_torn = false;
   size_t num_records = 0;
 };
+
+/// Encodes the structural fields of `state` (options, WAL epoch, next run
+/// id, levels, hibernation residuals) as one `kSnapshot` payload: the
+/// record a rotation compacts the manifest to, and the first record of a
+/// hibernation sidecar.
+std::string EncodeShardState(const RecoveredShardState& state);
+
+/// Decodes an `EncodeShardState` payload into `out`'s structural fields.
+/// Returns false unless the payload is one whole, well-formed snapshot
+/// (not truncated, no trailing bytes).
+bool DecodeShardState(const std::string& payload, RecoveredShardState* out);
 
 /// Replays the manifest at `path` into `out`. Returns `out->valid`. Reads
 /// only — repairs (tail truncation, rotation) are the writer's job.
@@ -101,8 +116,7 @@ class Manifest {
   void LogFlush(uint64_t new_epoch, const ManifestRunMeta& run);
   void LogCompact(uint32_t src_level, const std::vector<uint64_t>& removed,
                   const std::vector<ManifestRunMeta>& added);
-  void LogHibernate(uint64_t memtable_entries,
-                    const std::vector<std::pair<uint64_t, uint64_t>>& shape);
+  void LogHibernate(uint64_t memtable_entries, const LevelShape& shape);
   void LogWake();
 
   /// Compacts the log to one `kSnapshot` record when it has grown past

@@ -1,8 +1,6 @@
 #include "engine/record_log.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/crc32c.h"
@@ -18,22 +16,14 @@ constexpr size_t kFrameHeaderBytes = 8;  // u32 length + u32 masked CRC.
 // at most. Anything bigger is a corrupt length field.
 constexpr uint32_t kMaxPayloadBytes = 256u << 20;
 
-void SysCheckRecord(bool ok, const char* what, const std::string& path) {
-  if (!ok) {
-    std::fprintf(stderr, "record log: %s failed for '%s': %s\n", what,
-                 path.c_str(), std::strerror(errno));
-    std::abort();
-  }
-}
-
 }  // namespace
 
 RecordWriter::RecordWriter(FileOps* ops, std::string path)
     : ops_(ops), path_(std::move(path)) {
   fd_ = ops_->Open(path_, O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  SysCheckRecord(fd_ >= 0, "open", path_);
+  SysCheck(fd_ >= 0, "open", path_);
   struct stat st;
-  SysCheckRecord(::fstat(fd_, &st) == 0, "fstat", path_);
+  SysCheck(::fstat(fd_, &st) == 0, "fstat", path_);
   offset_ = static_cast<uint64_t>(st.st_size);
 }
 
@@ -54,22 +44,39 @@ void RecordWriter::Commit() {
   if (pending_.empty()) return;
   const int64_t n =
       ops_->PWrite(fd_, pending_.data(), pending_.size(), offset_);
-  SysCheckRecord(n == static_cast<int64_t>(pending_.size()), "pwrite", path_);
+  SysCheck(n == static_cast<int64_t>(pending_.size()), "pwrite", path_);
   offset_ += pending_.size();
   pending_.clear();
 }
 
-void RecordWriter::Sync() { SysCheckRecord(ops_->Fsync(fd_) == 0, "fsync", path_); }
+void RecordWriter::Sync() { SysCheck(ops_->Fsync(fd_) == 0, "fsync", path_); }
 
 void RecordWriter::Reset() {
   pending_.clear();
-  SysCheckRecord(ops_->Ftruncate(fd_, 0) == 0, "ftruncate", path_);
+  SysCheck(ops_->Ftruncate(fd_, 0) == 0, "ftruncate", path_);
   offset_ = 0;
 }
 
 void RecordWriter::TruncateTo(uint64_t offset) {
-  SysCheckRecord(ops_->Ftruncate(fd_, offset) == 0, "ftruncate", path_);
+  SysCheck(ops_->Ftruncate(fd_, offset) == 0, "ftruncate", path_);
   offset_ = offset;
+}
+
+bool InstallRecordFile(FileOps* ops, const std::string& path,
+                       const std::vector<std::string>& payloads, bool sync) {
+  const std::string tmp = path + ".tmp";
+  // A stale tmp from an earlier crashed install would otherwise make the
+  // fresh writer append after its leftovers.
+  ops->Unlink(tmp);
+  {
+    RecordWriter writer(ops, tmp);
+    for (const std::string& payload : payloads) writer.Append(payload);
+    writer.Commit();
+    if (sync) writer.Sync();  // the file must be complete before it is named
+  }
+  if (ops->Rename(tmp, path) == 0) return true;
+  ops->Unlink(tmp);
+  return false;
 }
 
 RecordFileContents ReadRecordFile(const std::string& path) {

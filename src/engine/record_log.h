@@ -96,6 +96,14 @@ struct RecordFileContents {
 /// fault seam: reads cannot corrupt anything).
 RecordFileContents ReadRecordFile(const std::string& path);
 
+/// Installs a fresh record file holding `payloads` at `path`: frames them
+/// into `path.tmp` (one write), fsyncs it when `sync`, then renames it over
+/// `path` — the rename is the atomic commit point, so a crash leaves the
+/// old file or the whole new one, never a torn one. A failed rename
+/// unlinks the tmp file and returns false.
+bool InstallRecordFile(FileOps* ops, const std::string& path,
+                       const std::vector<std::string>& payloads, bool sync);
+
 /// Little-endian primitive serialization of record payloads. Fixed-width
 /// encodes (no varint): durability records are dwarfed by the run files
 /// they describe, and fixed widths keep the torn-write arithmetic of the
@@ -106,13 +114,11 @@ class ByteWriter {
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
-  void Bytes(const void* p, size_t n) { Raw(p, n); }
   void U64Vec(const std::vector<uint64_t>& v) {
     U32(static_cast<uint32_t>(v.size()));
     if (!v.empty()) Raw(v.data(), v.size() * sizeof(uint64_t));
   }
 
-  const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
  private:

@@ -10,12 +10,8 @@ constexpr uint64_t kTombstoneFlag = 1;
 
 }  // namespace
 
-Wal::Wal(FileOps* ops, const std::string& shard_dir, WalSyncPolicy policy)
-    : ops_(ops), path_(PathFor(shard_dir)), policy_(policy),
-      writer_(std::make_unique<RecordWriter>(ops, path_)) {}
-
-void Wal::Append(uint64_t epoch, const lsm::Entry* entries, size_t n) {
-  if (n == 0) return;
+std::string EncodeWalRecord(uint64_t epoch, const lsm::Entry* entries,
+                            size_t n) {
   ByteWriter w;
   w.U64(epoch);
   w.U32(static_cast<uint32_t>(n));
@@ -24,7 +20,33 @@ void Wal::Append(uint64_t epoch, const lsm::Entry* entries, size_t n) {
     w.U64(entries[i].value);
     w.U64(entries[i].tombstone ? kTombstoneFlag : 0);
   }
-  writer_->Append(w.str());
+  return w.Take();
+}
+
+bool DecodeWalRecord(const std::string& payload, WalReplayRecord* out) {
+  ByteReader r(payload);
+  WalReplayRecord rec;
+  rec.epoch = r.U64();
+  const uint32_t n = r.U32();
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    lsm::Entry e;
+    e.key = r.U64();
+    e.value = r.U64();
+    e.tombstone = (r.U64() & kTombstoneFlag) != 0;
+    rec.entries.push_back(e);
+  }
+  if (!r.ok() || !r.AtEnd()) return false;
+  *out = std::move(rec);
+  return true;
+}
+
+Wal::Wal(FileOps* ops, const std::string& shard_dir, WalSyncPolicy policy)
+    : ops_(ops), path_(PathFor(shard_dir)), policy_(policy),
+      writer_(std::make_unique<RecordWriter>(ops, path_)) {}
+
+void Wal::Append(uint64_t epoch, const lsm::Entry* entries, size_t n) {
+  if (n == 0) return;
+  writer_->Append(EncodeWalRecord(epoch, entries, n));
   if (policy_ == WalSyncPolicy::kAlways) {
     writer_->Commit();
     writer_->Sync();
@@ -36,8 +58,6 @@ void Wal::Commit() {
   writer_->Commit();
   if (policy_ != WalSyncPolicy::kNone) writer_->Sync();
 }
-
-void Wal::Sync() { writer_->Sync(); }
 
 void Wal::Reset() { writer_->Reset(); }
 
@@ -53,19 +73,8 @@ WalReplay ReadWal(const std::string& path) {
 
   uint64_t offset = 0;
   for (const std::string& payload : log.records) {
-    ByteReader r(payload);
     WalReplayRecord rec;
-    rec.epoch = r.U64();
-    const uint32_t n = r.U32();
-    rec.entries.reserve(n);
-    for (uint32_t i = 0; i < n && r.ok(); ++i) {
-      lsm::Entry e;
-      e.key = r.U64();
-      e.value = r.U64();
-      e.tombstone = (r.U64() & kTombstoneFlag) != 0;
-      rec.entries.push_back(e);
-    }
-    if (!r.ok() || !r.AtEnd()) {
+    if (!DecodeWalRecord(payload, &rec)) {
       // CRC-valid but undecodable: treat as the start of a torn tail.
       log.torn_tail = true;
       break;

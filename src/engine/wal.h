@@ -23,6 +23,23 @@ enum class WalSyncPolicy {
   kAlways,
 };
 
+/// One replayed WAL record: the entries of a single `Append`, plus the
+/// epoch they were logged under.
+struct WalReplayRecord {
+  uint64_t epoch = 0;
+  std::vector<lsm::Entry> entries;
+};
+
+/// Encodes one WAL record payload: `n` entries logged at `epoch`, each as
+/// the key/value/flags triple the run files use. A hibernation sidecar
+/// stores its memtable as one such record.
+std::string EncodeWalRecord(uint64_t epoch, const lsm::Entry* entries,
+                            size_t n);
+
+/// Decodes one `EncodeWalRecord` payload. Returns false unless it parses
+/// whole.
+bool DecodeWalRecord(const std::string& payload, WalReplayRecord* out);
+
 /// \brief Per-shard write-ahead log of memtable contents.
 ///
 /// Each record carries the WAL **epoch** current at append time plus a
@@ -48,9 +65,6 @@ class Wal {
   /// clean close.
   void Commit();
 
-  /// fsync regardless of policy.
-  void Sync();
-
   /// Drops buffered appends and truncates the log to empty — the
   /// post-flush reset (all logged entries are now durable in a run).
   void Reset();
@@ -58,7 +72,6 @@ class Wal {
   /// Truncates a recovery-detected torn tail at `valid_bytes`.
   void TruncateTail(uint64_t valid_bytes);
 
-  WalSyncPolicy policy() const { return policy_; }
   const std::string& path() const { return path_; }
 
   static std::string PathFor(const std::string& shard_dir) {
@@ -70,13 +83,6 @@ class Wal {
   std::string path_;
   WalSyncPolicy policy_;
   std::unique_ptr<RecordWriter> writer_;
-};
-
-/// One replayed WAL record: the entries of a single `Append`, plus the
-/// epoch they were logged under.
-struct WalReplayRecord {
-  uint64_t epoch = 0;
-  std::vector<lsm::Entry> entries;
 };
 
 struct WalReplay {

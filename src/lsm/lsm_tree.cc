@@ -1,7 +1,6 @@
 #include "lsm/lsm_tree.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "lsm/compaction.h"
 #include "lsm/monkey.h"
@@ -117,51 +116,34 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
     }
   }
 
-  auto key_at = [](const Cursor& c) {
-    return c.run != nullptr ? c.run->entry(c.idx).key : c.mem_entries[c.idx].key;
-  };
-  auto entry_at = [](const Cursor& c) -> const Entry& {
+  auto entry_at = [&](size_t s) -> const Entry& {
+    const Cursor& c = cursors[s];
     return c.run != nullptr ? c.run->entry(c.idx) : c.mem_entries[c.idx];
   };
 
   size_t added = 0;
-  while (added < max_entries) {
-    uint64_t min_key = std::numeric_limits<uint64_t>::max();
-    bool any = false;
-    for (const Cursor& c : cursors) {
-      if (c.idx >= c.end) continue;
-      const uint64_t k = key_at(c);
-      if (!any || k < min_key) {
-        min_key = k;
-        any = true;
-      }
-    }
-    if (!any) break;
-
-    bool taken = false;
-    for (Cursor& c : cursors) {
-      if (c.idx >= c.end || key_at(c) != min_key) continue;
-      device_->ChargeCpu(cfg.cpu_iter_next_ns);
-      if (c.run != nullptr) {
-        // Charge the block this entry lives in when the cursor enters it.
-        const auto block =
-            static_cast<int64_t>(c.idx / EntriesPerBlock());
-        if (block != c.last_block) {
-          c.run->ChargeBlockAccess(c.idx, device_, &cache_);
-          c.last_block = block;
+  MergeNewestFirst(
+      cursors.size(), [&] { return added < max_entries; },
+      [&](size_t s) { return cursors[s].idx < cursors[s].end; },
+      [&](size_t s) { return entry_at(s).key; },
+      [&](size_t s, bool newest) {
+        Cursor& c = cursors[s];
+        device_->ChargeCpu(cfg.cpu_iter_next_ns);
+        if (c.run != nullptr) {
+          // Charge the block this entry lives in when the cursor enters it.
+          const auto block = static_cast<int64_t>(c.idx / EntriesPerBlock());
+          if (block != c.last_block) {
+            c.run->ChargeBlockAccess(c.idx, device_, &cache_);
+            c.last_block = block;
+          }
         }
-      }
-      if (!taken) {
-        taken = true;
-        const Entry& e = entry_at(c);
-        if (!e.tombstone) {
+        const Entry& e = entry_at(s);
+        if (newest && !e.tombstone) {
           out->push_back(e);
           ++added;
         }
-      }
-      ++c.idx;
-    }
-  }
+        ++c.idx;
+      });
   return added;
 }
 

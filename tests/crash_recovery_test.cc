@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -514,6 +516,128 @@ TEST(CrashRecoveryTest, HibernatedShardSurvivesRestart) {
     VerifyMatchesReference(eng, ref, 1200);  // gets wake the shard
     EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
   }
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------ damaged hibernation sidecar
+
+/// Keys with a distinctive top byte, so the first one a sidecar holds is
+/// easy to find: the first run's min key inside its run-metadata record.
+constexpr uint64_t kSidecarKeyBase = 0xA5ULL << 56;
+
+/// Two shards; shard 1 ends hibernated with runs and memtable residue that
+/// overwrites some of them. Fills `ref` with the logical contents.
+void HibernateShardOne(FileEngine& eng, Reference* ref) {
+  std::vector<Op> batch;
+  for (uint64_t i = 1; i <= 600; ++i) {
+    const uint64_t k = kSidecarKeyBase + 2 * i;
+    batch.push_back(Put(k, i + 11));
+    (*ref)[k] = i + 11;
+  }
+  PutBatch(eng, batch);
+  eng.FlushMemtable();
+  batch.clear();
+  for (uint64_t i = 1; i <= 40; ++i) {
+    const uint64_t k = kSidecarKeyBase + 2 * i;
+    batch.push_back(Put(k, i + 13));
+    (*ref)[k] = i + 13;
+  }
+  PutBatch(eng, batch);
+  batch.clear();
+  for (const auto& [k, v] : *ref) {
+    (void)v;
+    if (eng.ShardIndex(k) == 0 && batch.size() < 16) batch.push_back(GetOp(k));
+  }
+  PutBatch(eng, batch);
+  PutBatch(eng, batch);
+  ASSERT_EQ(eng.ShardLifecycle(1), ShardState::kHibernated);
+}
+
+/// Flips one byte of the first key the sidecar at `path` holds past its
+/// first frame header, turning that run's min key into one above every
+/// written key.
+void DamageSidecarRunMeta(const std::string& path) {
+  std::string bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr) << path;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+    std::fclose(f);
+  }
+  for (size_t off = 8; off + 8 <= bytes.size(); ++off) {
+    uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + off, sizeof(word));
+    if ((word >> 48) != (kSidecarKeyBase >> 48)) continue;
+    bytes[off + 6] = static_cast<char>(bytes[off + 6] ^ 0xFF);
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return;
+  }
+  FAIL() << "no run key found in " << path;
+}
+
+/// Every written key answers as the oracle says, and the never-written key
+/// above each stays absent.
+void VerifyOracle(FileEngine& eng, const Reference& ref) {
+  uint64_t value = 0;
+  for (const auto& [k, v] : ref) {
+    ASSERT_TRUE(eng.Get(k, &value)) << "lost key " << k;
+    EXPECT_EQ(value, v) << "key " << k;
+    EXPECT_FALSE(eng.Get(k + 1, &value)) << "resurrected key " << k + 1;
+  }
+}
+
+TEST(CrashRecoveryTest, DamagedSidecarRecoversFromManifestAndWal) {
+  const std::string dir = UniqueDir("sidecar_damage");
+  const lsm::Options opts = CrashOptions(2);
+  Reference ref;
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.durable = true;
+    cfg.keep_files = true;
+    cfg.lifecycle =
+        ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
+    FileEngine eng(2, opts, cfg);
+    HibernateShardOne(eng, &ref);
+  }
+  DamageSidecarRunMeta(dir + "/shard_1/hibernate.snap");
+  {
+    FileEngineConfig cfg;
+    cfg.workdir = dir;
+    cfg.reopen = true;
+    FileEngine eng(2, opts, cfg);
+    // The sidecar fails its CRC, so recovery distrusts it and rebuilds the
+    // shard live from the manifest's run metadata and the WAL.
+    EXPECT_EQ(eng.ShardLifecycle(1), ShardState::kMaterialized);
+    EXPECT_FALSE(fs::exists(dir + "/shard_1/hibernate.snap"));
+    VerifyOracle(eng, ref);
+  }
+  fs::remove_all(dir);
+}
+
+/// A live, non-durable engine hibernates shard 1, its sidecar is damaged
+/// on disk, then an op wakes the shard from it.
+void WakeFromDamagedSidecar(const std::string& dir) {
+  FileEngineConfig cfg;
+  cfg.workdir = dir;
+  cfg.lifecycle =
+      ShardLifecycleConfig{/*lazy=*/true, /*hibernate_after_batches=*/1};
+  FileEngine eng(2, CrashOptions(2), cfg);
+  Reference ref;
+  HibernateShardOne(eng, &ref);
+  DamageSidecarRunMeta(dir + "/shard_1/hibernate.snap");
+  VerifyOracle(eng, ref);
+}
+
+TEST(CrashRecoveryDeathTest, DamagedSidecarAbortsLiveWake) {
+  const std::string dir = UniqueDir("sidecar_wake");
+  // The wake must refuse the sidecar, naming it, rather than serve from it.
+  EXPECT_DEATH(WakeFromDamagedSidecar(dir), "hibernate\\.snap");
   fs::remove_all(dir);
 }
 

@@ -433,5 +433,67 @@ TEST_F(ManifestTest, FailedRotationRenameKeepsOldLogAuthoritative) {
   ASSERT_EQ(after.levels[0].size(), 2u);
 }
 
+// ------------------------------------------------------ shard-state codec
+
+/// A hibernated shard with an empty middle level and a run whose filter has
+/// no words: the shapes the sidecar and rotation codec must both carry.
+RecoveredShardState CodecState() {
+  RecoveredShardState st;
+  st.options = TestOptions();
+  st.wal_epoch = 9;
+  st.next_run_id = 12;
+  st.levels.resize(3);
+  st.levels[0].push_back(TestRun(10, 300));
+  st.levels[0].push_back(TestRun(11, 150));
+  ManifestRunMeta bare = TestRun(4, 1);
+  bare.fence = {2};
+  bare.bloom_bits = 0;
+  bare.bloom_hashes = 0;
+  bare.bloom_bpk = 0.0;
+  bare.bloom_words.clear();
+  st.levels[2].push_back(bare);
+  st.hibernated = true;
+  st.hib_memtable_entries = 17;
+  st.hib_shape = {{2, 450}, {0, 0}, {1, 1}};
+  return st;
+}
+
+TEST(ShardStateCodecTest, RoundTripsEveryField) {
+  for (const bool hibernated : {true, false}) {
+    RecoveredShardState in = CodecState();
+    if (!hibernated) {
+      in.hibernated = false;
+      in.hib_memtable_entries = 0;
+      in.hib_shape.clear();
+    }
+    RecoveredShardState out;
+    ASSERT_TRUE(DecodeShardState(EncodeShardState(in), &out));
+    ExpectOptionsEq(out.options, in.options);
+    EXPECT_EQ(out.wal_epoch, in.wal_epoch);
+    EXPECT_EQ(out.next_run_id, in.next_run_id);
+    ASSERT_EQ(out.levels.size(), in.levels.size());
+    for (size_t l = 0; l < in.levels.size(); ++l) {
+      ASSERT_EQ(out.levels[l].size(), in.levels[l].size()) << "level " << l;
+      for (size_t r = 0; r < in.levels[l].size(); ++r) {
+        ExpectRunEq(out.levels[l][r], in.levels[l][r]);
+      }
+    }
+    EXPECT_EQ(out.hibernated, in.hibernated);
+    EXPECT_EQ(out.hib_memtable_entries, in.hib_memtable_entries);
+    EXPECT_EQ(out.hib_shape, in.hib_shape);
+  }
+}
+
+TEST(ShardStateCodecTest, EveryTruncatedPrefixIsRejected) {
+  const std::string payload = EncodeShardState(CodecState());
+  RecoveredShardState out;
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(DecodeShardState(payload.substr(0, len), &out))
+        << "prefix of " << len << " / " << payload.size() << " bytes";
+  }
+  EXPECT_FALSE(DecodeShardState(payload + std::string(1, '\0'), &out))
+      << "trailing bytes";
+}
+
 }  // namespace
 }  // namespace camal::engine::fileio
