@@ -1037,7 +1037,7 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   }
 }
 
-/// Shard-local range scan: merges the memtable slice with run cursors
+/// Shard-local range scan: merges the memtable with run cursors
 /// (newest wins, tombstones suppress), appending up to `max_entries` live
 /// entries to `out`. Block fetches are cache-aware real reads.
 size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
@@ -1048,25 +1048,17 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
   struct Cursor {
     const FileRun* run = nullptr;  // null for the memtable source
-    std::vector<lsm::Entry> mem;   // materialized memtable tail
     uint64_t idx = 0;
     uint64_t end = 0;
     int64_t block = -1;
     fileio::BlockPtr block_data;  // shared with the cache; eviction-safe
   };
-  std::vector<Cursor> cursors;
-
-  {
-    // Newest source first: the whole memtable tail (tombstones in it can
-    // shadow run entries arbitrarily far into the scan).
-    Cursor mem;
-    for (auto it = sh.memtable.lower_bound(start_key); it != sh.memtable.end();
-         ++it) {
-      mem.mem.push_back(it->second);
-    }
-    mem.end = mem.mem.size();
-    cursors.push_back(std::move(mem));
-  }
+  // Newest source first: the memtable, walked in place from `mem`. Nothing
+  // writes it during the scan, and its tombstones shadow run entries
+  // through the merge's `newest` flag however far into the scan they reach.
+  std::map<uint64_t, lsm::Entry>::const_iterator mem =
+      sh.memtable.lower_bound(start_key);
+  std::vector<Cursor> cursors(1);
   for (const auto& level : sh.levels) {
     for (auto rit = level.rbegin(); rit != level.rend(); ++rit) {
       const FileRun& run = **rit;
@@ -1093,7 +1085,7 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
   auto entry_at = [&](size_t s) -> lsm::Entry {
     Cursor& c = cursors[s];
-    if (c.run == nullptr) return c.mem[c.idx];
+    if (c.run == nullptr) return mem->second;
     const auto blk = static_cast<int64_t>(c.idx / epb);
     if (blk != c.block) {
       c.block_data = FetchBlock(sh, cfg, *c.run, static_cast<size_t>(blk));
@@ -1105,7 +1097,10 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
   size_t added = 0;
   lsm::MergeNewestFirst(
       cursors.size(), [&] { return added < max_entries; },
-      [&](size_t s) { return cursors[s].idx < cursors[s].end; },
+      [&](size_t s) {
+        const Cursor& c = cursors[s];
+        return c.run != nullptr ? c.idx < c.end : mem != sh.memtable.end();
+      },
       [&](size_t s) { return entry_at(s).key; },
       [&](size_t s, bool newest) {
         if (newest) {
@@ -1115,7 +1110,11 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
             ++added;
           }
         }
-        ++cursors[s].idx;
+        if (cursors[s].run != nullptr) {
+          ++cursors[s].idx;
+        } else {
+          ++mem;
+        }
       });
   return added;
 }

@@ -84,25 +84,18 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
   if (max_entries == 0) return 0;
   const sim::DeviceConfig& cfg = device_->config();
 
-  // Source 0 is the memtable (newest); then runs ordered newest-to-oldest.
+  // Source 0 is the memtable (newest), walked in place from `mem`; then
+  // runs ordered newest-to-oldest. Nothing writes the memtable during the
+  // scan, and its tombstones shadow run entries through the merge's
+  // `newest` flag however far into the scan they reach.
   struct Cursor {
-    const Run* run = nullptr;          // null for the memtable source
-    std::vector<Entry> mem_entries;    // materialized memtable slice
+    const Run* run = nullptr;  // null for the memtable source
     size_t idx = 0;
     size_t end = 0;
     int64_t last_block = -1;
   };
-  std::vector<Cursor> cursors;
-
-  {
-    // Collect the full memtable tail: tombstones in it shadow run entries
-    // arbitrarily far into the scan, so a max_entries-bounded slice could
-    // miss live keys. The memtable holds at most BufferEntries() entries.
-    Cursor mem;
-    memtable_.CollectFrom(start_key, memtable_.size(), &mem.mem_entries);
-    mem.end = mem.mem_entries.size();
-    cursors.push_back(std::move(mem));
-  }
+  Memtable::Table::const_iterator mem = memtable_.LowerBound(start_key);
+  std::vector<Cursor> cursors(1);
   const int deepest = levels_.DeepestNonEmpty();
   for (int level = 0; level <= deepest; ++level) {
     const auto& runs = levels_.At(static_cast<size_t>(level));
@@ -112,19 +105,22 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
       device_->ChargeCpu(cfg.cpu_run_probe_ns);
       c.idx = c.run->FirstGeq(start_key, device_);
       c.end = c.run->size();
-      cursors.push_back(std::move(c));
+      cursors.push_back(c);
     }
   }
 
   auto entry_at = [&](size_t s) -> const Entry& {
     const Cursor& c = cursors[s];
-    return c.run != nullptr ? c.run->entry(c.idx) : c.mem_entries[c.idx];
+    return c.run != nullptr ? c.run->entry(c.idx) : mem->second;
   };
 
   size_t added = 0;
   MergeNewestFirst(
       cursors.size(), [&] { return added < max_entries; },
-      [&](size_t s) { return cursors[s].idx < cursors[s].end; },
+      [&](size_t s) {
+        const Cursor& c = cursors[s];
+        return c.run != nullptr ? c.idx < c.end : mem != memtable_.end();
+      },
       [&](size_t s) { return entry_at(s).key; },
       [&](size_t s, bool newest) {
         Cursor& c = cursors[s];
@@ -142,7 +138,11 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
           out->push_back(e);
           ++added;
         }
-        ++c.idx;
+        if (c.run != nullptr) {
+          ++c.idx;
+        } else {
+          ++mem;
+        }
       });
   return added;
 }

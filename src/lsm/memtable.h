@@ -34,15 +34,18 @@ class Memtable {
   /// hibernation, which must leave all cost clocks untouched.
   void LoadSorted(const std::vector<Entry>& entries);
 
-  /// Appends at most `max_entries` buffered entries with key in
-  /// [start_key, +inf), in key order, to `out`; entries `out` already holds
-  /// do not count toward the limit (used by range scans; the caller merges
-  /// with on-disk runs).
-  void CollectFrom(uint64_t start_key, size_t max_entries,
-                   std::vector<Entry>* out) const;
+  using Table = std::map<uint64_t, Entry>;
+
+  /// First buffered entry with key >= `start_key` (or `end()`), tombstones
+  /// included, read in place: range scans walk [LowerBound, end()) as the
+  /// newest source of their merge. Valid until the next Put, drain or load.
+  Table::const_iterator LowerBound(uint64_t start_key) const {
+    return table_.lower_bound(start_key);
+  }
+  Table::const_iterator end() const { return table_.end(); }
 
  private:
-  std::map<uint64_t, Entry> table_;
+  Table table_;
 };
 
 }  // namespace camal::lsm

@@ -64,5 +64,35 @@ TEST(FileFingerprintTest, ShardLifecycleScheduleCountersAreDeterministic) {
   EXPECT_EQ(runs, "3 3 2 3 ");
 }
 
+// The file backend's scan path over memtables that buffer long tombstone
+// runs and overwrites above flushed runs (`RunScanSchedule`): per-op block
+// reads, found flags and scan hits, the entries direct scans return, plus
+// the engine's counters.
+TEST(FileFingerprintTest, ScanOverBufferedTombstonesCountersAreDeterministic) {
+  const lsm::Options opts = ScanScheduleOptions(4);
+  FileEngineConfig cfg;
+  cfg.workdir = Workdir();
+  FileEngine eng(4, opts, cfg);
+  const ScheduleTrace t = RunScanSchedule(&eng);
+
+  EXPECT_EQ(t.ops, 168u);
+  EXPECT_EQ(t.count_hash, 0xd840b22369c3d33fULL) << std::hex << t.count_hash;
+  EXPECT_EQ(t.ios, 20u);
+  EXPECT_EQ(t.found, 10u);
+  EXPECT_EQ(t.scan_hits, 7270u);
+  EXPECT_EQ(t.entry_hash, 0xa2fc55db6c7f85dfULL) << std::hex << t.entry_hash;
+
+  const EngineCounters c = eng.AggregateCounters();
+  EXPECT_EQ(c.compaction_block_reads, 60u);
+  EXPECT_EQ(c.compaction_block_writes, 48u);
+  EXPECT_EQ(c.flushes, 16u);
+  EXPECT_EQ(c.merges, 12u);
+  const sim::DeviceSnapshot cost = eng.CostSnapshot();
+  EXPECT_EQ(cost.block_reads, 80u);
+  EXPECT_EQ(cost.block_writes, 80u);
+  EXPECT_EQ(eng.TotalEntries(), 3820u);
+  EXPECT_EQ(eng.DiskEntries(), 3000u);
+}
+
 }  // namespace
 }  // namespace camal::engine

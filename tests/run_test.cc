@@ -63,29 +63,39 @@ TEST(MemtableTest, DrainSortedOrderAndClear) {
   EXPECT_TRUE(mem.empty());
 }
 
-TEST(MemtableTest, CollectFromRespectsStartAndLimit) {
+TEST(MemtableTest, LowerBoundWalksKeyOrderFromStart) {
   sim::Device dev(QuietDevice());
   Memtable mem;
-  for (uint64_t k = 1; k <= 10; ++k) mem.Put(k * 10, k, false, &dev);
-  std::vector<Entry> out;
-  mem.CollectFrom(35, 3, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].key, 40u);
-  EXPECT_EQ(out[2].key, 60u);
+  for (uint64_t k = 10; k >= 1; --k) mem.Put(k * 10, k, false, &dev);
+  std::vector<uint64_t> keys;
+  for (auto it = mem.LowerBound(35); it != mem.end(); ++it) {
+    EXPECT_EQ(it->first, it->second.key);
+    keys.push_back(it->first);
+  }
+  EXPECT_EQ(keys, (std::vector<uint64_t>{40, 50, 60, 70, 80, 90, 100}));
+  EXPECT_EQ(mem.LowerBound(40)->first, 40u);  // the bound is inclusive
+  EXPECT_EQ(mem.LowerBound(0)->first, 10u);
+  EXPECT_TRUE(mem.LowerBound(101) == mem.end());
 }
 
-TEST(MemtableTest, CollectFromLimitCountsOnlyAppendedEntries) {
+TEST(MemtableTest, LowerBoundShowsTombstonesAndLatestValues) {
   sim::Device dev(QuietDevice());
   Memtable mem;
-  for (uint64_t k = 1; k <= 10; ++k) mem.Put(k * 10, k, false, &dev);
-  std::vector<Entry> out = {Entry{1, 1, false}, Entry{2, 2, false}};
-  mem.CollectFrom(35, 3, &out);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[1].key, 2u);  // earlier contents kept
-  EXPECT_EQ(out[2].key, 40u);
-  EXPECT_EQ(out[4].key, 60u);
-  mem.CollectFrom(0, 0, &out);
-  EXPECT_EQ(out.size(), 5u);
+  mem.Put(20, 1, false, &dev);
+  mem.Put(30, 2, false, &dev);
+  mem.Put(20, 0, true, &dev);
+  mem.Put(30, 3, false, &dev);
+  auto it = mem.LowerBound(15);
+  ASSERT_TRUE(it != mem.end());
+  EXPECT_EQ(it->second.key, 20u);
+  EXPECT_TRUE(it->second.tombstone);
+  ++it;
+  ASSERT_TRUE(it != mem.end());
+  EXPECT_EQ(it->second.value, 3u);
+  EXPECT_FALSE(it->second.tombstone);
+  EXPECT_TRUE(++it == mem.end());
+  const Memtable empty;
+  EXPECT_TRUE(empty.LowerBound(0) == empty.end());
 }
 
 TEST(MemtableTest, ChargesCpu) {

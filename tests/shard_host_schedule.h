@@ -3,9 +3,10 @@
 // idle hibernation (the engine must be built with
 // `hibernate_after_batches = 2`), scans that wake hibernated shards,
 // `ReconfigureShard` on a cold and on a hibernated shard, a total
-// `Reconfigure` and a `FlushMemtable` mid-stream. The fingerprint suites
-// run it on the simulated and on the real-IO engine and pin what it
-// produces.
+// `Reconfigure` and a `FlushMemtable` mid-stream; and a scan-heavy
+// schedule over memtables that buffer long tombstone runs. The fingerprint
+// suites run both on the simulated and on the real-IO engine and pin what
+// they produce.
 
 #ifndef CAMAL_TESTS_SHARD_HOST_SCHEDULE_H_
 #define CAMAL_TESTS_SHARD_HOST_SCHEDULE_H_
@@ -28,6 +29,7 @@ namespace camal::engine {
 struct ScheduleTrace {
   uint64_t result_hash = 0xcbf29ce484222325ULL;  // FNV-1a over every op
   uint64_t count_hash = 0xcbf29ce484222325ULL;   // same, latency left out
+  uint64_t entry_hash = 0xcbf29ce484222325ULL;   // entries `Scan` returned
   double latency_sum = 0.0;
   double scan_latency_sum = 0.0;
   uint64_t ios = 0;
@@ -163,6 +165,95 @@ inline lsm::Options ScheduleOptions(size_t num_shards) {
   opts.bloom_bits = 8 * 4000;
   opts.block_cache_bytes = 8 * 4096 * num_shards;
   return opts;
+}
+
+/// Total options of the scan schedule: a 256-entry write buffer per shard,
+/// so the tombstones and overwrites it buffers stay in the memtables above
+/// the flushed runs while the scans run.
+inline lsm::Options ScanScheduleOptions(size_t num_shards) {
+  lsm::Options opts = ScheduleOptions(num_shards);
+  opts.buffer_bytes = 128 * 256 * num_shards;
+  return opts;
+}
+
+/// A scan-heavy schedule over `eng` (built with `ScanScheduleOptions`):
+///   load   keys [0, 3000), then every third key overwritten, then
+///          FlushMemtable — every shard holds only runs;
+///   buffer Delete [1000, 1700) and overwrite [2000, 2100) — each shard's
+///          memtable holds a run of about 175 tombstones, far longer than
+///          a 16-entry scan, above live run keys;
+///   scan   three batches of scans of length 1, 16 and 200 from start keys
+///          before, inside and past the memtable range and past every key,
+///          the middle one interleaved with puts past the key space,
+///          deletes and gets; then the same probes as direct `Scan` calls,
+///          whose entries enter `entry_hash`.
+inline ScheduleTrace RunScanSchedule(StorageEngine* eng) {
+  std::vector<Op> batch;
+  std::vector<OpResult> results;
+  ScheduleTrace trace;
+  auto submit = [&](bool record) {
+    results.assign(batch.size(), OpResult{});
+    eng->ExecuteOps(batch.data(), batch.size(), results.data());
+    if (record) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        Record(batch[i], results[i], &trace);
+      }
+    }
+    batch.clear();
+  };
+  auto put = [&](uint64_t key, uint64_t value) {
+    batch.push_back(Op{OpKind::kPut, key, value, 0});
+  };
+
+  for (uint64_t k = 0; k < 3000; ++k) {
+    put(k, 7 * k + 1);
+    if (batch.size() == 100) submit(/*record=*/false);
+  }
+  for (uint64_t k = 0; k < 3000; k += 3) {
+    put(k, 11 * k + 2);
+    if (batch.size() == 100) submit(/*record=*/false);
+  }
+  submit(/*record=*/false);
+  eng->FlushMemtable();
+  for (uint64_t k = 1000; k < 1700; ++k) {
+    batch.push_back(Op{OpKind::kDelete, k, 0, 0});
+  }
+  for (uint64_t k = 2000; k < 2100; ++k) put(k, 13 * k + 3);
+  submit(/*record=*/false);
+
+  const uint64_t starts[] = {0,    500,  999,  1000, 1350, 1699, 1700,
+                             2000, 2050, 2099, 2100, 2999, 3000, 1ULL << 40};
+  auto scans = [&] {
+    for (const uint64_t start : starts) {
+      for (const size_t len : {size_t{1}, size_t{16}, size_t{200}}) {
+        batch.push_back(Op{OpKind::kScan, start, 0, len});
+      }
+    }
+  };
+  scans();
+  submit(/*record=*/true);
+  for (const uint64_t start : starts) {
+    put(3000 + start % 97, start);
+    batch.push_back(Op{OpKind::kDelete, 1700 + start % 40, 0, 0});
+    batch.push_back(Op{OpKind::kGet, start % 3100, 0, 0});
+    for (const size_t len : {size_t{1}, size_t{16}, size_t{200}}) {
+      batch.push_back(Op{OpKind::kScan, start, 0, len});
+    }
+  }
+  submit(/*record=*/true);
+  scans();
+  submit(/*record=*/true);
+  scans();
+  std::vector<lsm::Entry> out;
+  for (const Op& op : batch) {
+    out.clear();
+    eng->Scan(op.key, op.scan_len, &out);
+    for (const lsm::Entry& e : out) {
+      Fnv(&trace.entry_hash, e.key);
+      Fnv(&trace.entry_hash, e.value);
+    }
+  }
+  return trace;
 }
 
 }  // namespace camal::engine

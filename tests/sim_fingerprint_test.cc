@@ -193,5 +193,39 @@ TEST(SimFingerprintTest, ShardLifecycleScheduleIsBitIdentical) {
             "mmhhhhhhhhhhhhhh|mmmmmmmmmmmmmmmm|");
 }
 
+// Range scans over memtables that buffer long tombstone runs and
+// overwrites above flushed runs (`RunScanSchedule`): scans of length 1, 16
+// and 200 from before, inside and past the buffered range, alone and
+// interleaved with writes. Every per-op latency enters `result_hash`, and
+// every entry the closing direct scans return enters `entry_hash`.
+TEST(SimFingerprintTest, ScanOverBufferedTombstonesIsBitIdentical) {
+  const lsm::Options opts = engine::ScanScheduleOptions(4);
+  engine::ShardedEngine eng(4, opts, sim::DeviceConfig{});
+  const engine::ScheduleTrace t = engine::RunScanSchedule(&eng);
+
+  EXPECT_EQ(t.ops, 168u);
+  EXPECT_EQ(t.result_hash, 0x9601234b6e661b1bULL) << std::hex << t.result_hash;
+  EXPECT_EQ(t.count_hash, 0x1220baae87a9114eULL) << std::hex << t.count_hash;
+  EXPECT_BITS(t.latency_sum, 0x1.0a39e2b9f2976p+26);
+  EXPECT_BITS(t.scan_latency_sum, 0x1.091e6ae46af0ap+26);
+  EXPECT_EQ(t.ios, 639u);
+  EXPECT_EQ(t.found, 10u);
+  EXPECT_EQ(t.scan_hits, 7270u);
+  EXPECT_EQ(t.entry_hash, 0xa2fc55db6c7f85dfULL) << std::hex << t.entry_hash;
+
+  const engine::EngineCounters c = eng.AggregateCounters();
+  EXPECT_EQ(c.compaction_block_reads, 286u);
+  EXPECT_EQ(c.compaction_block_writes, 381u);
+  EXPECT_EQ(c.transition_ios, 0u);
+  EXPECT_EQ(c.flushes, 16u);
+  EXPECT_EQ(c.merges, 12u);
+  const sim::DeviceSnapshot cost = eng.CostSnapshot();
+  EXPECT_EQ(cost.block_reads, 1138u);
+  EXPECT_EQ(cost.block_writes, 381u);
+  EXPECT_BITS(cost.elapsed_ns, 0x1.b44e14b745f7fp+26);
+  EXPECT_EQ(eng.TotalEntries(), 3820u);
+  EXPECT_EQ(eng.DiskEntries(), 3000u);
+}
+
 }  // namespace
 }  // namespace camal
