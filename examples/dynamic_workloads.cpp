@@ -10,7 +10,7 @@
 #include "camal/camal_tuner.h"
 #include "camal/dynamic_tuner.h"
 #include "camal/evaluator.h"
-#include "lsm/lsm_tree.h"
+#include "engine/sharded_engine.h"
 #include "workload/tables.h"
 
 using namespace camal;
@@ -29,11 +29,12 @@ int main() {
   camal.Train(workload::TrainingWorkloads());
   std::printf("trained: %zu samples\n\n", camal.samples().size());
 
-  // One long-lived tree, starting from the RocksDB-style default config.
-  sim::Device device(setup.device);
+  // One long-lived tree (a 1-shard engine), starting from the
+  // RocksDB-style default config.
+  engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
+                            setup.device);
   workload::KeySpace keys(setup.num_entries, setup.seed);
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  workload::BulkLoad(&tree, keys);
+  workload::BulkLoad(&eng, keys);
 
   DynamicTuner::Params params;
   params.window_ops = 1000;  // p
@@ -49,18 +50,19 @@ int main() {
   const auto phases = workload::ShiftingWorkloads();
   for (size_t i = 0; i < phases.size(); ++i) {
     const auto result =
-        dynamic.RunPhase(&tree, &keys, phases[i], 4000, /*seed=*/i + 1);
+        dynamic.RunPhase(&eng, &keys, phases[i], 4000, /*seed=*/i + 1);
     std::printf("%3zu %-38s %8.1fus %8.2f %6.0f %8zu\n", i + 1,
                 phases[i].ToString().c_str(), result.MeanLatencyNs() / 1e3,
-                result.IosPerOp(), tree.options().size_ratio,
+                result.IosPerOp(), eng.ShardOptionsSnapshot(0).size_ratio,
                 dynamic.reconfigurations());
   }
+  const engine::EngineCounters counters = eng.AggregateCounters();
   std::printf("\ntotal transition I/Os: %llu (vs %llu compaction I/Os)\n",
-              static_cast<unsigned long long>(tree.counters().transition_ios),
+              static_cast<unsigned long long>(counters.transition_ios),
               static_cast<unsigned long long>(
-                  tree.counters().compaction_block_reads +
-                  tree.counters().compaction_block_writes));
+                  counters.compaction_block_reads +
+                  counters.compaction_block_writes));
   std::printf("data grew to %llu entries across the phases\n",
-              static_cast<unsigned long long>(tree.TotalEntries()));
+              static_cast<unsigned long long>(eng.TotalEntries()));
   return 0;
 }

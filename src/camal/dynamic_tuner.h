@@ -57,11 +57,11 @@ struct RacingOptions {
 /// (extrapolation strategy). The tuner is shard-aware: it keeps one
 /// `ShiftDetector` per engine shard and retunes each shard independently,
 /// from its *local* operation mix at its *local* data scale, through
-/// `StorageEngine::ReconfigureShard`. On a single-shard engine (a bare
-/// `lsm::LsmTree`) this degenerates to exactly the original one-detector,
-/// whole-tree behavior. The tuner targets the abstract `StorageEngine`
-/// surface only, so it drives the simulated and the real-IO backend
-/// identically.
+/// `StorageEngine::ReconfigureShard`. On a single-shard engine (a 1-shard
+/// `ShardedEngine`, bit-identical to one tree) this degenerates to exactly
+/// the original one-detector, whole-tree behavior. The tuner targets the
+/// abstract `StorageEngine` surface only, so it drives the simulated and
+/// the real-IO backend identically.
 ///
 /// **Thread-safety.** Externally synchronized; `RunPhase` owns the engine
 /// for its duration (engine-internal shard fan-out still applies).

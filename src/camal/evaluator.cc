@@ -90,8 +90,8 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
     fe->set_pool(engine_pool_.get());
     owned = std::move(fe);
   } else {
-    // One shard is bit-identical to the historical direct-tree path: the
-    // engine wraps a single tree over a device with exactly this config.
+    // One shard is bit-identical to driving the tree directly: shard 0
+    // wraps a single tree over a device with exactly this config.
     auto se = std::make_unique<engine::ShardedEngine>(
         num_shards, config.ToOptions(setup_), setup_.MakeDeviceConfig(salt));
     se->set_pool(engine_pool_.get());

@@ -7,34 +7,16 @@
 #include <unordered_map>
 #include <vector>
 
+#include "lsm/compaction.h"
 #include "lsm/entry.h"
 #include "lsm/options.h"
 #include "sim/device.h"
-#include "util/status.h"
 
 namespace camal::engine {
 
-/// Aggregate compaction/flush counters exposed by every storage engine.
-/// For a single LSM-tree these are the tree's own counters; a sharded
-/// engine reports the sum over its shards.
-struct EngineCounters {
-  uint64_t compaction_block_reads = 0;
-  uint64_t compaction_block_writes = 0;
-  /// Compaction I/O performed while the engine was morphing toward a new
-  /// configuration (dynamic mode, Section 6 of the paper).
-  uint64_t transition_ios = 0;
-  uint64_t flushes = 0;
-  uint64_t merges = 0;
-
-  EngineCounters& operator+=(const EngineCounters& other) {
-    compaction_block_reads += other.compaction_block_reads;
-    compaction_block_writes += other.compaction_block_writes;
-    transition_ios += other.transition_ios;
-    flushes += other.flushes;
-    merges += other.merges;
-    return *this;
-  }
-};
+/// Aggregate compaction/flush counters exposed by every storage engine:
+/// the sum over its shards of each tree's `lsm::TreeCounters`.
+using EngineCounters = lsm::TreeCounters;
 
 /// The memory a shard currently holds across the three arbitrable pools —
 /// the currency of per-tenant memory arbitration. Budgets are always a
@@ -157,20 +139,19 @@ struct OpCostWindow {
 /// execution stack (workload::Execute, tune::Evaluator, tune::DynamicTuner)
 /// and a concrete storage backend.
 ///
-/// Implementations: `lsm::LsmTree` (one simulated tree, one device) and
-/// `ShardHost` (N shard stores behind a hash partitioner, with lazy
-/// instantiation and hibernation), whose subclasses are `ShardedEngine`
-/// (simulated trees) and `FileEngine` (real files + real clocks). The
-/// tuning layers talk only to this surface, so any backend slots in
-/// unchanged.
+/// The library's one implementation is `ShardHost` (N shard stores behind
+/// a hash partitioner, with lazy instantiation and hibernation), whose
+/// subclasses are `ShardedEngine` (simulated `lsm::LsmTree`s; one shard is
+/// bit-identical to driving the tree directly) and `FileEngine` (real
+/// files + real clocks). Every virtual is pure; the only bodies here are
+/// non-virtual helpers over them and the cost profiler's cells. The tuning
+/// layers talk only to this surface, so any backend slots in unchanged.
 ///
 /// **Contract.** The serving hot path is `ExecuteOps`: the caller submits
 /// a batch and receives one `OpResult` per op, in submission order, with
-/// per-op cost attributed by the engine. The base implementation runs the
-/// batch serially and prices each op by diffing `CostSnapshot()` (exactly
-/// what callers historically did); `ShardHost` overrides it to execute
-/// shard-local sub-batches concurrently while producing bit-identical
-/// results. Every serving path — closed-loop (`workload::Execute`,
+/// per-op cost attributed by the engine. `ShardHost` executes shard-local
+/// sub-batches concurrently while producing results bit-identical to
+/// serial execution. Every serving path — closed-loop (`workload::Execute`,
 /// `tune::DynamicTuner`) and open-loop (`serve::Gateway`) — submits
 /// through `ExecuteOps`. The point-op virtuals (`Put`/`Get`/`Delete`/
 /// `Scan`) are a compatibility and testing surface, not a serving
@@ -215,11 +196,10 @@ class StorageEngine {
                       std::vector<lsm::Entry>* out) = 0;
 
   /// Executes `count` operations in submission order, writing one result
-  /// per op to `results[0..count)`. The base implementation runs serially;
-  /// overrides may execute independent sub-streams concurrently but must
-  /// preserve per-key ordering and produce results bit-identical to the
-  /// serial execution.
-  virtual void ExecuteOps(const Op* ops, size_t count, OpResult* results);
+  /// per op to `results[0..count)`. Implementations may execute
+  /// independent sub-streams concurrently but must preserve per-key
+  /// ordering and produce results bit-identical to the serial execution.
+  virtual void ExecuteOps(const Op* ops, size_t count, OpResult* results) = 0;
 
   /// Convenience wrapper over the pointer form.
   std::vector<OpResult> ExecuteOps(const std::vector<Op>& ops) {
@@ -238,41 +218,28 @@ class StorageEngine {
 
   // --- Sharding surface -------------------------------------------------
 
-  /// Number of independent partitions. 1 for a single tree.
-  virtual size_t NumShards() const { return 1; }
+  /// Number of independent partitions.
+  virtual size_t NumShards() const = 0;
 
   /// Deterministic partition a point operation on `key` routes to.
-  virtual size_t ShardIndex(uint64_t key) const {
-    (void)key;
-    return 0;
-  }
+  virtual size_t ShardIndex(uint64_t key) const = 0;
 
   /// Reconfigures one shard with *shard-local* options (the dynamic tuner
-  /// retunes shards independently as their local mixes drift). The default
-  /// serves single-shard engines.
-  virtual void ReconfigureShard(size_t shard, const lsm::Options& options) {
-    CAMAL_CHECK(shard == 0);
-    Reconfigure(options);
-  }
+  /// retunes shards independently as their local mixes drift).
+  virtual void ReconfigureShard(size_t shard, const lsm::Options& options) = 0;
 
-  /// Lifecycle state of one shard. Eagerly constructed engines report
-  /// every shard as materialized (the default).
-  virtual ShardState ShardLifecycle(size_t shard) const {
-    CAMAL_CHECK(shard < NumShards());
-    return ShardState::kMaterialized;
-  }
+  /// Lifecycle state of one shard.
+  virtual ShardState ShardLifecycle(size_t shard) const = 0;
 
   /// Number of shards currently holding in-memory structures (cold and
   /// hibernated shards excluded). Equals `NumShards()` for eager engines.
-  virtual size_t MaterializedShards() const { return NumShards(); }
+  virtual size_t MaterializedShards() const = 0;
 
   /// Appends the indices of all materialized shards, ascending — the
   /// active set a per-window pass (e.g. the memory arbiter's scan
   /// accounting) should visit instead of iterating every shard. Eager
   /// engines append every shard.
-  virtual void AppendResidentShards(std::vector<size_t>* out) const {
-    for (size_t s = 0; s < NumShards(); ++s) out->push_back(s);
-  }
+  virtual void AppendResidentShards(std::vector<size_t>* out) const = 0;
 
   /// Live configuration one shard currently runs with (budgets are
   /// shard-local, shape knobs as last applied). This is the surface the
@@ -292,12 +259,8 @@ class StorageEngine {
   virtual sim::DeviceSnapshot CostSnapshot() const = 0;
 
   /// Point-in-time cost of one shard's device(s) — the per-tenant cost
-  /// clock the memory arbiter and per-shard bench columns read. The
-  /// default serves single-shard engines.
-  virtual sim::DeviceSnapshot ShardCostSnapshot(size_t shard) const {
-    CAMAL_CHECK(shard == 0);
-    return CostSnapshot();
-  }
+  /// clock the memory arbiter and per-shard bench columns read.
+  virtual sim::DeviceSnapshot ShardCostSnapshot(size_t shard) const = 0;
 
   /// Accumulated measurement window of one (shard, op kind) cell of the
   /// always-on cost profiler — every op that flowed through `ExecuteOps`
@@ -328,10 +291,7 @@ class StorageEngine {
   virtual EngineCounters AggregateCounters() const = 0;
 
   /// Compaction/flush counters of one shard.
-  virtual EngineCounters ShardCounters(size_t shard) const {
-    CAMAL_CHECK(shard == 0);
-    return AggregateCounters();
-  }
+  virtual EngineCounters ShardCounters(size_t shard) const = 0;
 
   // --- Scale views ------------------------------------------------------
 
@@ -341,10 +301,7 @@ class StorageEngine {
   virtual uint64_t DiskEntries() const = 0;
 
   /// Live entries held by one shard (memtable + disk).
-  virtual uint64_t ShardEntries(size_t shard) const {
-    CAMAL_CHECK(shard == 0);
-    return TotalEntries();
-  }
+  virtual uint64_t ShardEntries(size_t shard) const = 0;
 
   /// True while any shard's structure still violates its latest
   /// configuration.

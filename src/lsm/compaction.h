@@ -10,6 +10,27 @@
 
 namespace camal::lsm {
 
+/// Compaction/flush counters of one tree; engines report their sum over
+/// shards as `engine::EngineCounters` (an alias of this struct).
+struct TreeCounters {
+  uint64_t compaction_block_reads = 0;
+  uint64_t compaction_block_writes = 0;
+  /// Compaction I/O performed while the tree was morphing toward a new
+  /// configuration (dynamic mode, Section 6 of the paper).
+  uint64_t transition_ios = 0;
+  uint64_t flushes = 0;
+  uint64_t merges = 0;
+
+  TreeCounters& operator+=(const TreeCounters& other) {
+    compaction_block_reads += other.compaction_block_reads;
+    compaction_block_writes += other.compaction_block_writes;
+    transition_ios += other.transition_ios;
+    flushes += other.flushes;
+    merges += other.merges;
+    return *this;
+  }
+};
+
 /// The k-way merge under compactions and range scans of both backends.
 /// Sources `0..n` are sorted by key and ordered newest first. Each round
 /// finds the smallest key any live source holds, then calls

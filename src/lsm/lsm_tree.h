@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "engine/storage_engine.h"
 #include "lsm/block_cache.h"
+#include "lsm/compaction.h"
 #include "lsm/entry.h"
 #include "lsm/memtable.h"
 #include "lsm/options.h"
@@ -15,10 +15,6 @@
 #include "sim/device.h"
 
 namespace camal::lsm {
-
-/// Aggregate counters the tuners and benchmarks read off a tree — the
-/// single-tree view of the engine-level counters.
-using TreeCounters = engine::EngineCounters;
 
 /// Whether any level of `levels` breaks the shape `opts` prescribes — the
 /// transition predicate of lazy reconfiguration, for live and frozen trees.
@@ -52,10 +48,10 @@ struct FrozenTreeState {
 /// (the DLSM design of Section 6): `Reconfigure` updates the target shape
 /// and the structure converges through subsequent natural compactions.
 ///
-/// The batched `ExecuteOps` pipeline is served by the base class's serial
-/// implementation (one tree, one device — per-op costs are plain device
-/// snapshot deltas); `engine::ShardHost` is the parallel override.
-class LsmTree : public engine::StorageEngine {
+/// A plain class, not an engine: `engine::ShardedEngine` serves trees
+/// (one per shard) through the `engine::StorageEngine` surface, and a
+/// 1-shard `ShardedEngine` is bit-identical to driving the tree directly.
+class LsmTree {
  public:
   /// `device` must outlive the tree; all simulated cost is charged there.
   LsmTree(const Options& options, sim::Device* device);
@@ -76,52 +72,39 @@ class LsmTree : public engine::StorageEngine {
   LsmTree& operator=(const LsmTree&) = delete;
 
   /// Inserts or updates a key. May trigger a flush and compactions.
-  void Put(uint64_t key, uint64_t value) override;
+  void Put(uint64_t key, uint64_t value);
 
   /// Deletes a key by writing a tombstone.
-  void Delete(uint64_t key) override;
+  void Delete(uint64_t key);
 
   /// Point lookup. Returns true and fills `*value` when the key is live;
   /// false for missing or deleted keys. (`value` may be null.)
-  bool Get(uint64_t key, uint64_t* value) override;
+  bool Get(uint64_t key, uint64_t* value);
 
   /// Range lookup: appends up to `max_entries` live entries with
   /// key >= start_key, in key order, to `out`. Returns how many were added.
-  size_t Scan(uint64_t start_key, size_t max_entries,
-              std::vector<Entry>* out) override;
+  size_t Scan(uint64_t start_key, size_t max_entries, std::vector<Entry>* out);
 
   /// Forces the write buffer to disk (no-op when empty).
-  void FlushMemtable() override;
+  void FlushMemtable();
 
   /// Applies a new configuration lazily (Section 6). Level capacities,
   /// runs-per-level, and Bloom bits-per-key targets change immediately, but
   /// the physical structure only morphs during subsequent flushes and
   /// compactions; the block cache is resized immediately. `entry_bytes`
   /// must not change.
-  void Reconfigure(const Options& new_options) override;
+  void Reconfigure(const Options& new_options);
 
   const Options& options() const { return options_; }
-  Options ShardOptionsSnapshot(size_t shard) const override {
-    CAMAL_CHECK(shard == 0);
-    return options_;
-  }
   sim::Device* device() { return device_; }
   BlockCache* cache() { return &cache_; }
   const TreeCounters& counters() const { return counters_; }
 
-  /// Engine cost accounting: the tree's single device.
-  sim::DeviceSnapshot CostSnapshot() const override {
-    return device_->Snapshot();
-  }
-  engine::EngineCounters AggregateCounters() const override {
-    return counters_;
-  }
-
   /// Live view helpers.
-  uint64_t TotalEntries() const override {
+  uint64_t TotalEntries() const {
     return levels_.TotalEntries() + memtable_.size();
   }
-  uint64_t DiskEntries() const override { return levels_.TotalEntries(); }
+  uint64_t DiskEntries() const { return levels_.TotalEntries(); }
   size_t MemtableSize() const { return memtable_.size(); }
   int NumPopulatedLevels() const { return levels_.DeepestNonEmpty() + 1; }
   std::vector<uint64_t> LevelEntryCounts() const {
@@ -129,7 +112,7 @@ class LsmTree : public engine::StorageEngine {
   }
   std::vector<size_t> LevelRunCounts() const { return levels_.RunCounts(); }
   /// True while the structure still violates the latest configuration.
-  bool InTransition() const override { return transition_active_; }
+  bool InTransition() const { return transition_active_; }
 
  private:
   uint64_t EntriesPerBlock() const {

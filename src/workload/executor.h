@@ -35,8 +35,8 @@ struct ExecutorConfig {
 /// Runs `config.num_ops` operations drawn from `spec` against `engine`
 /// through the batched `StorageEngine::ExecuteOps` pipeline; per-op
 /// simulated latency and I/O are attributed by the engine itself. Any
-/// StorageEngine works: a bare `lsm::LsmTree` or an
-/// `engine::ShardedEngine` (which fans each batch across its pool).
+/// StorageEngine works: an `engine::ShardedEngine` (which fans each batch
+/// across its pool; one shard runs one tree) or an `engine::FileEngine`.
 ExecutionResult Execute(engine::StorageEngine* engine,
                         const model::WorkloadSpec& spec,
                         const ExecutorConfig& config, KeySpace* keys);

@@ -5,7 +5,6 @@
 #include "camal/extrapolation.h"
 #include "camal/sample.h"
 #include "engine/sharded_engine.h"
-#include "lsm/lsm_tree.h"
 #include "workload/tables.h"
 
 namespace camal::tune {
@@ -32,35 +31,35 @@ RecommendFn ClassicRecommender(const SystemSetup& setup) {
 
 TEST(DynamicTunerTest, InitialWindowTriggersReconfiguration) {
   const SystemSetup setup = TinySetup();
-  sim::Device device(setup.device);
   workload::KeySpace keys(setup.num_entries, setup.seed);
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  workload::BulkLoad(&tree, keys);
+  engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
+                            setup.device);
+  workload::BulkLoad(&eng, keys);
 
   DynamicTuner::Params params;
   params.window_ops = 200;
   params.tau = 0.1;
   DynamicTuner dyn(ClassicRecommender(setup), setup, params);
-  dyn.RunPhase(&tree, &keys, model::WorkloadSpec{0.25, 0.25, 0.25, 0.25},
+  dyn.RunPhase(&eng, &keys, model::WorkloadSpec{0.25, 0.25, 0.25, 0.25},
                600, 1);
   EXPECT_GE(dyn.reconfigurations(), 1u);
 }
 
 TEST(DynamicTunerTest, ShiftTriggersRetune) {
   const SystemSetup setup = TinySetup();
-  sim::Device device(setup.device);
   workload::KeySpace keys(setup.num_entries, setup.seed);
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  workload::BulkLoad(&tree, keys);
+  engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
+                            setup.device);
+  workload::BulkLoad(&eng, keys);
 
   DynamicTuner::Params params;
   params.window_ops = 300;
   params.tau = 0.1;
   DynamicTuner dyn(ClassicRecommender(setup), setup, params);
-  dyn.RunPhase(&tree, &keys, model::WorkloadSpec{0.05, 0.05, 0.0, 0.9}, 900,
+  dyn.RunPhase(&eng, &keys, model::WorkloadSpec{0.05, 0.05, 0.0, 0.9}, 900,
                1);
   const size_t after_writes = dyn.reconfigurations();
-  dyn.RunPhase(&tree, &keys, model::WorkloadSpec{0.05, 0.05, 0.9, 0.0}, 900,
+  dyn.RunPhase(&eng, &keys, model::WorkloadSpec{0.05, 0.05, 0.9, 0.0}, 900,
                2);
   EXPECT_GT(dyn.reconfigurations(), after_writes);
   // The applied config should reflect the range-heavy estimate: large T.
@@ -69,17 +68,17 @@ TEST(DynamicTunerTest, ShiftTriggersRetune) {
 
 TEST(DynamicTunerTest, StableWorkloadReconfiguresOnce) {
   const SystemSetup setup = TinySetup();
-  sim::Device device(setup.device);
   workload::KeySpace keys(setup.num_entries, setup.seed);
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  workload::BulkLoad(&tree, keys);
+  engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
+                            setup.device);
+  workload::BulkLoad(&eng, keys);
 
   DynamicTuner::Params params;
   params.window_ops = 200;
   params.tau = 0.15;
   DynamicTuner dyn(ClassicRecommender(setup), setup, params);
   for (int phase = 0; phase < 3; ++phase) {
-    dyn.RunPhase(&tree, &keys, model::WorkloadSpec{0.25, 0.25, 0.25, 0.25},
+    dyn.RunPhase(&eng, &keys, model::WorkloadSpec{0.25, 0.25, 0.25, 0.25},
                  600, static_cast<uint64_t>(phase));
   }
   EXPECT_EQ(dyn.reconfigurations(), 1u);
@@ -87,52 +86,42 @@ TEST(DynamicTunerTest, StableWorkloadReconfiguresOnce) {
 
 TEST(DynamicTunerTest, DataGrowsDuringPhases) {
   const SystemSetup setup = TinySetup();
-  sim::Device device(setup.device);
   workload::KeySpace keys(setup.num_entries, setup.seed);
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  workload::BulkLoad(&tree, keys);
-  const uint64_t before = tree.TotalEntries();
+  engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
+                            setup.device);
+  workload::BulkLoad(&eng, keys);
+  const uint64_t before = eng.TotalEntries();
 
   DynamicTuner::Params params;
   DynamicTuner dyn(ClassicRecommender(setup), setup, params);
-  dyn.RunPhase(&tree, &keys, model::WorkloadSpec{0.0, 0.0, 0.0, 1.0}, 2000,
+  dyn.RunPhase(&eng, &keys, model::WorkloadSpec{0.0, 0.0, 0.0, 1.0}, 2000,
                1);
-  EXPECT_GT(tree.TotalEntries(), before + 1500);
+  EXPECT_GT(eng.TotalEntries(), before + 1500);
   EXPECT_EQ(keys.num_keys(), setup.num_entries + 2000);
 }
 
 TEST(DynamicTunerTest, OneShardEngineBitIdenticalToDirectTree) {
-  // The dynamic path through a 1-shard ShardedEngine must reproduce the
-  // direct-tree run exactly: same detector firings, same simulated time.
+  // The dynamic path through a 1-shard ShardedEngine reproduces a run that
+  // drove a bare LsmTree through this schedule: the literals are that
+  // run's simulated time, I/O and detector firings, bit for bit.
   const SystemSetup setup = TinySetup();
   DynamicTuner::Params params;
   params.window_ops = 250;
   params.tau = 0.1;
 
-  auto run = [&](engine::StorageEngine* eng, DynamicTuner* dyn) {
-    workload::KeySpace keys(setup.num_entries, setup.seed);
-    workload::BulkLoad(eng, keys);
-    workload::ExecutionResult r1 = dyn->RunPhase(
-        eng, &keys, model::WorkloadSpec{0.1, 0.1, 0.0, 0.8}, 700, 1);
-    workload::ExecutionResult r2 = dyn->RunPhase(
-        eng, &keys, model::WorkloadSpec{0.1, 0.1, 0.7, 0.1}, 700, 2);
-    return std::make_pair(r1.total_ns + r2.total_ns,
-                          r1.total_ios + r2.total_ios);
-  };
-
-  sim::Device device(setup.MakeDeviceConfig());
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  DynamicTuner dyn_tree(ClassicRecommender(setup), setup, params);
-  const auto direct = run(&tree, &dyn_tree);
-
   engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
                             setup.MakeDeviceConfig());
-  DynamicTuner dyn_eng(ClassicRecommender(setup), setup, params);
-  const auto sharded = run(&eng, &dyn_eng);
+  DynamicTuner dyn(ClassicRecommender(setup), setup, params);
+  workload::KeySpace keys(setup.num_entries, setup.seed);
+  workload::BulkLoad(&eng, keys);
+  const workload::ExecutionResult r1 = dyn.RunPhase(
+      &eng, &keys, model::WorkloadSpec{0.1, 0.1, 0.0, 0.8}, 700, 1);
+  const workload::ExecutionResult r2 = dyn.RunPhase(
+      &eng, &keys, model::WorkloadSpec{0.1, 0.1, 0.7, 0.1}, 700, 2);
 
-  EXPECT_EQ(direct.first, sharded.first);  // bit-exact simulated time
-  EXPECT_EQ(direct.second, sharded.second);
-  EXPECT_EQ(dyn_tree.reconfigurations(), dyn_eng.reconfigurations());
+  EXPECT_EQ(r1.total_ns + r2.total_ns, 0x1.84c85e7111fd6p+26);  // bit-exact
+  EXPECT_EQ(r1.total_ios + r2.total_ios, 1579u);
+  EXPECT_EQ(dyn.reconfigurations(), 3u);
 }
 
 TEST(DynamicTunerTest, ShardedEngineRetunesShardsIndependently) {
@@ -166,10 +155,10 @@ TEST(DynamicTunerTest, ShardedEngineRetunesShardsIndependently) {
 
 TEST(DynamicTunerTest, TreeStaysCorrectAcrossReconfigurations) {
   const SystemSetup setup = TinySetup();
-  sim::Device device(setup.device);
   workload::KeySpace keys(setup.num_entries, setup.seed);
-  lsm::LsmTree tree(MonkeyDefaultConfig(setup).ToOptions(setup), &device);
-  workload::BulkLoad(&tree, keys);
+  engine::ShardedEngine eng(1, MonkeyDefaultConfig(setup).ToOptions(setup),
+                            setup.device);
+  workload::BulkLoad(&eng, keys);
 
   DynamicTuner::Params params;
   params.window_ops = 150;
@@ -177,7 +166,7 @@ TEST(DynamicTunerTest, TreeStaysCorrectAcrossReconfigurations) {
   DynamicTuner dyn(ClassicRecommender(setup), setup, params);
   const auto shifting = workload::ShiftingWorkloads();
   for (size_t i = 0; i < 6; ++i) {
-    const auto result = dyn.RunPhase(&tree, &keys, shifting[i * 4], 500, i);
+    const auto result = dyn.RunPhase(&eng, &keys, shifting[i * 4], 500, i);
     // Workloads with non-zero-result lookups must find keys; zero-result
     // lookups must miss (odd keys are never inserted).
     if (shifting[i * 4].r > 0.1) {
@@ -189,8 +178,8 @@ TEST(DynamicTunerTest, TreeStaysCorrectAcrossReconfigurations) {
   }
   // Spot check a few original keys survived every transition.
   uint64_t value = 0;
-  EXPECT_TRUE(tree.Get(keys.KeyAt(0), &value));
-  EXPECT_TRUE(tree.Get(keys.KeyAt(100), &value));
+  EXPECT_TRUE(eng.Get(keys.KeyAt(0), &value));
+  EXPECT_TRUE(eng.Get(keys.KeyAt(100), &value));
 }
 
 }  // namespace

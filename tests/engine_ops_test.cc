@@ -11,7 +11,6 @@
 #include "camal/dynamic_tuner.h"
 #include "camal/sample.h"
 #include "engine/sharded_engine.h"
-#include "lsm/lsm_tree.h"
 #include "util/thread_pool.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
@@ -104,28 +103,9 @@ void ExpectSameResults(const std::vector<OpResult>& a,
   }
 }
 
-TEST(ExecuteOpsTest, MatchesCallerSideDiffingOnSingleTree) {
-  const tune::SystemSetup setup = SmallSetup();
-  workload::KeySpace keys(setup.num_entries, setup.seed);
-  const std::vector<Op> ops = GenerateOps(setup, 2000, &keys, nullptr);
-
-  workload::KeySpace keys_a(setup.num_entries, setup.seed);
-  auto ref_eng = MakeLoadedEngine(setup, 1, keys_a);
-  const std::vector<OpResult> expected = ExecuteOpsLikePr2(ref_eng.get(), ops);
-
-  // Direct tree through the base-class serial implementation.
-  workload::KeySpace keys_b(setup.num_entries, setup.seed);
-  sim::Device device(setup.MakeDeviceConfig());
-  lsm::LsmTree tree(tune::MonkeyDefaultConfig(setup).ToOptions(setup),
-                    &device);
-  workload::BulkLoad(&tree, keys_b);
-  StorageEngine& engine = tree;
-  ExpectSameResults(engine.ExecuteOps(ops), expected);
-}
-
 TEST(ExecuteOpsTest, MatchesCallerSideDiffingAcrossShardCounts) {
   const tune::SystemSetup setup = SmallSetup();
-  for (size_t shards : {2, 3, 8}) {
+  for (size_t shards : {1, 2, 3, 8}) {
     workload::KeySpace keys(setup.num_entries, setup.seed);
     const std::vector<Op> ops = GenerateOps(setup, 2000, &keys, nullptr);
 

@@ -12,7 +12,7 @@
 #include "camal/evaluator.h"
 #include "camal/grid_tuner.h"
 #include "camal/plain_al_tuner.h"
-#include "lsm/lsm_tree.h"
+#include "engine/sharded_engine.h"
 #include "util/thread_pool.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
@@ -163,18 +163,16 @@ TEST(ParallelEvalTest, ExecuteBatchIdenticalSerialVsParallel) {
   config.mb_bits = static_cast<double>(setup.total_memory_bits) - config.mf_bits;
 
   auto run = [&](util::ThreadPool* pool) {
-    // Each job needs its own tree/device; trees are rebuilt per run so the
+    // Each job needs its own engine; engines are rebuilt per run so the
     // serial and parallel batches start from identical states.
-    std::vector<std::unique_ptr<sim::Device>> devices;
-    std::vector<std::unique_ptr<lsm::LsmTree>> trees;
+    std::vector<std::unique_ptr<engine::ShardedEngine>> engines;
     std::vector<workload::ExecuteJob> jobs;
     for (int j = 0; j < 4; ++j) {
-      devices.push_back(std::make_unique<sim::Device>(setup.device));
-      trees.push_back(std::make_unique<lsm::LsmTree>(config.ToOptions(setup),
-                                                     devices.back().get()));
-      workload::BulkLoad(trees.back().get(), keys);
+      engines.push_back(std::make_unique<engine::ShardedEngine>(
+          1, config.ToOptions(setup), setup.device));
+      workload::BulkLoad(engines.back().get(), keys);
       workload::ExecuteJob job;
-      job.engine = trees.back().get();
+      job.engine = engines.back().get();
       job.spec = model::WorkloadSpec{0.25, 0.25, 0.25, 0.25};
       job.config.num_ops = 500;
       job.config.seed = 100 + static_cast<uint64_t>(j);

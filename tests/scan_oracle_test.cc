@@ -1,14 +1,15 @@
 // Range scans checked against an independent oracle.
 //
 // Every other scan suite compares two paths of the same engine (lazy vs
-// eager, ring vs pread, one shard vs `LsmTree`), so a bug both paths share
-// passes them. Here a plain `std::map` is the reference: after each step
-// of a fixed scenario and of a seeded random trace, `Scan` must return
-// exactly the oracle's next live entries and every `ExecuteOps` scan must
-// report exactly as many hits. The scenario covers an empty engine,
-// memtable-only data, a memtable tombstone run longer than a scan that
-// shadows flushed keys, start keys past every key and limits 0 and 1. It
-// runs on `LsmTree`, a 4-shard `ShardedEngine` inline and on a 2-worker
+// eager, ring vs pread, one shard vs a direct `LsmTree`), so a bug both
+// paths share passes them. Here a plain `std::map` is the reference: after
+// each step of a fixed scenario and of a seeded random trace, `Scan` must
+// return exactly the oracle's next live entries and every `ExecuteOps`
+// scan must report exactly as many hits. The scenario covers an empty
+// engine, memtable-only data, a memtable tombstone run longer than a scan
+// that shadows flushed keys, start keys past every key and limits 0 and 1.
+// It runs on a 1-shard `ShardedEngine` (whose `Scan` forwards straight to
+// `LsmTree::Scan`), a 4-shard `ShardedEngine` inline and on a 2-worker
 // pool, and a 3-shard `FileEngine` on the pread path.
 
 #include <algorithm>
@@ -24,20 +25,19 @@
 
 #include "engine/file_engine.h"
 #include "engine/sharded_engine.h"
-#include "lsm/lsm_tree.h"
 #include "util/thread_pool.h"
 
 namespace camal::engine {
 namespace {
 
-enum class Backend { kTree, kShardedInline, kShardedPool, kFile };
+enum class Backend { kOneShard, kShardedInline, kShardedPool, kFile };
 
 constexpr size_t kBufferPerShard = 512;
 constexpr size_t kLengths[] = {0, 1, 16, 200};
 
 std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
   switch (info.param) {
-    case Backend::kTree: return "LsmTree";
+    case Backend::kOneShard: return "OneShard";
     case Backend::kShardedInline: return "ShardedInline";
     case Backend::kShardedPool: return "ShardedPool";
     case Backend::kFile: return "FilePread";
@@ -60,9 +60,9 @@ class ScanOracleTest : public ::testing::TestWithParam<Backend> {
  protected:
   void SetUp() override {
     switch (GetParam()) {
-      case Backend::kTree:
-        device_ = std::make_unique<sim::Device>(sim::DeviceConfig{});
-        eng_ = std::make_unique<lsm::LsmTree>(TotalOptions(1), device_.get());
+      case Backend::kOneShard:
+        eng_ = std::make_unique<ShardedEngine>(1, TotalOptions(1),
+                                               sim::DeviceConfig{});
         break;
       case Backend::kShardedInline:
       case Backend::kShardedPool: {
@@ -166,7 +166,6 @@ class ScanOracleTest : public ::testing::TestWithParam<Backend> {
     }
   }
 
-  std::unique_ptr<sim::Device> device_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<StorageEngine> eng_;
   std::map<uint64_t, uint64_t> oracle_;
@@ -255,7 +254,7 @@ TEST_P(ScanOracleTest, RandomTraceMatchesOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ScanOracleTest,
-                         ::testing::Values(Backend::kTree,
+                         ::testing::Values(Backend::kOneShard,
                                            Backend::kShardedInline,
                                            Backend::kShardedPool,
                                            Backend::kFile),

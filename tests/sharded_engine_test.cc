@@ -244,20 +244,49 @@ TEST(ShardedEngineTest, OneShardBitIdenticalToDirectTree) {
   exec.generator.scan_len = setup.scan_len;
   exec.seed = 99;
 
-  auto run = [&](engine::StorageEngine* eng, workload::KeySpace* keys) {
-    workload::BulkLoad(eng, *keys);
-    return workload::Execute(eng, mix, exec, keys);
-  };
-
-  // Direct tree path (jittered device, so the equality is non-trivial).
+  // Direct tree path (jittered device, so the equality is non-trivial):
+  // the same bulk load and op stream as `BulkLoad` + `Execute`, driven
+  // through the tree's point calls and priced by device snapshot deltas.
   workload::KeySpace keys_direct(setup.num_entries, setup.seed);
   sim::Device device(setup.MakeDeviceConfig());
   lsm::LsmTree tree(config.ToOptions(setup), &device);
-  workload::ExecutionResult direct = run(&tree, &keys_direct);
+  uint64_t load_value = 1;
+  for (uint64_t key : keys_direct.keys()) tree.Put(key, load_value++);
+  workload::ExecutionResult direct;
+  workload::OperationGenerator gen(mix, &keys_direct, exec.generator,
+                                   exec.seed);
+  std::vector<lsm::Entry> scan_buf;
+  for (size_t i = 0; i < exec.num_ops; ++i) {
+    const workload::Operation op = gen.Next();
+    const Op eop = workload::ToEngineOp(op);
+    const sim::DeviceSnapshot before = device.Snapshot();
+    OpResult r;
+    switch (eop.kind) {
+      case OpKind::kGet:
+        r.found = tree.Get(eop.key, nullptr);
+        break;
+      case OpKind::kPut:
+        tree.Put(eop.key, eop.value);
+        break;
+      case OpKind::kDelete:
+        tree.Delete(eop.key);
+        break;
+      case OpKind::kScan:
+        scan_buf.clear();
+        r.scan_hits = tree.Scan(eop.key, eop.scan_len, &scan_buf);
+        break;
+    }
+    const sim::DeviceSnapshot delta = device.Snapshot().Delta(before);
+    r.latency_ns = delta.elapsed_ns;
+    r.ios = delta.TotalIos();
+    workload::AccumulateOpResult(op.type, r, &direct);
+  }
 
   workload::KeySpace keys_sharded(setup.num_entries, setup.seed);
   ShardedEngine eng(1, config.ToOptions(setup), setup.MakeDeviceConfig());
-  workload::ExecutionResult sharded = run(&eng, &keys_sharded);
+  workload::BulkLoad(&eng, keys_sharded);
+  const workload::ExecutionResult sharded =
+      workload::Execute(&eng, mix, exec, &keys_sharded);
 
   EXPECT_EQ(direct.total_ns, sharded.total_ns);  // bit-exact doubles
   EXPECT_EQ(direct.total_ios, sharded.total_ios);
@@ -302,19 +331,6 @@ TEST(ShardedEngineTest, PerShardObservabilityAccessors) {
   EXPECT_EQ(counter_sum.flushes, eng.AggregateCounters().flushes);
   EXPECT_EQ(counter_sum.merges, eng.AggregateCounters().merges);
   EXPECT_EQ(entry_sum, eng.TotalEntries());
-}
-
-TEST(ShardedEngineTest, SingleTreeObservabilityDefaults) {
-  sim::Device device(QuietDevice());
-  lsm::LsmTree tree(SmallOptions(), &device);
-  for (uint64_t key = 2; key <= 600; key += 2) tree.Put(key, key);
-  engine::StorageEngine& eng = tree;
-  EXPECT_EQ(eng.ShardOptionsSnapshot(0).buffer_bytes,
-            SmallOptions().buffer_bytes);
-  EXPECT_EQ(eng.ShardBudgetSnapshot(0).bloom_bits, SmallOptions().bloom_bits);
-  EXPECT_DOUBLE_EQ(eng.ShardCostSnapshot(0).elapsed_ns,
-                   eng.CostSnapshot().elapsed_ns);
-  EXPECT_EQ(eng.ShardCounters(0).flushes, eng.AggregateCounters().flushes);
 }
 
 TEST(ShardedEngineTest, UnevenArbiterBudgetsConserveTheTotalAndServe) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lsm/lsm_tree.h"
+#include "engine/sharded_engine.h"
 #include "workload/executor.h"
 #include "workload/generator.h"
 #include "workload/shift_detector.h"
@@ -143,20 +143,19 @@ TEST(GeneratorTest, InsertNewKeysGrowsKeySpace) {
 TEST(ExecutorTest, RunsWorkloadAndFindsKeys) {
   sim::DeviceConfig dev_cfg;
   dev_cfg.io_jitter_frac = 0.0;
-  sim::Device device(dev_cfg);
   lsm::Options opts;
   opts.entry_bytes = 128;
   opts.buffer_bytes = 128 * 64;
   opts.bloom_bits = 10 * 3000;
-  lsm::LsmTree tree(opts, &device);
+  engine::ShardedEngine eng(1, opts, dev_cfg);
   KeySpace keys(3000, 11);
-  BulkLoad(&tree, keys);
+  BulkLoad(&eng, keys);
 
   model::WorkloadSpec spec{0.3, 0.5, 0.1, 0.1};
   ExecutorConfig cfg;
   cfg.num_ops = 2000;
   cfg.seed = 3;
-  const ExecutionResult result = Execute(&tree, spec, cfg, &keys);
+  const ExecutionResult result = Execute(&eng, spec, cfg, &keys);
   EXPECT_EQ(result.num_ops, 2000u);
   EXPECT_GT(result.total_ns, 0.0);
   // Every non-zero lookup must find its key; zero lookups must all miss.
@@ -169,17 +168,16 @@ TEST(ExecutorTest, RunsWorkloadAndFindsKeys) {
 TEST(ExecutorTest, LatencySketchMatchesTotals) {
   sim::DeviceConfig dev_cfg;
   dev_cfg.io_jitter_frac = 0.0;
-  sim::Device device(dev_cfg);
   lsm::Options opts;
   opts.entry_bytes = 128;
   opts.buffer_bytes = 128 * 64;
-  lsm::LsmTree tree(opts, &device);
+  engine::ShardedEngine eng(1, opts, dev_cfg);
   KeySpace keys(500, 11);
-  BulkLoad(&tree, keys);
+  BulkLoad(&eng, keys);
   ExecutorConfig cfg;
   cfg.num_ops = 500;
   ExecutionResult result =
-      Execute(&tree, model::WorkloadSpec{0.25, 0.25, 0.25, 0.25}, cfg, &keys);
+      Execute(&eng, model::WorkloadSpec{0.25, 0.25, 0.25, 0.25}, cfg, &keys);
   EXPECT_EQ(result.latency_ns.count(), 500u);
   EXPECT_NEAR(result.latency_ns.Mean() * 500.0, result.total_ns, 1.0);
 }
