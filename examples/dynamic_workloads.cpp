@@ -3,7 +3,7 @@
 // tau) re-tunes it on the fly. The tree morphs lazily during natural
 // compactions; transition I/Os are reported.
 //
-// Build & run:  ./build/examples/dynamic_workloads
+// Build & run:  ./build/example_dynamic_workloads
 
 #include <cstdio>
 

@@ -2,7 +2,7 @@
 // same set of measured samples and compare their accuracy on held-out
 // configurations — Poly and Trees do well on little data, the NN lags.
 //
-// Build & run:  ./build/examples/model_playground
+// Build & run:  ./build/example_model_playground
 
 #include <cmath>
 #include <cstdio>

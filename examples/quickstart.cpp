@@ -1,7 +1,7 @@
 // Quickstart: build an LSM-tree on the simulated device, run a few
 // operations, and tune it for a workload with the closed-form model.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/example_quickstart
 
 #include <cstdio>
 #include <vector>

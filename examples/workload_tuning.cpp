@@ -3,7 +3,7 @@
 // compare its recommendation against well-tuned-RocksDB defaults and
 // classic tuning on a workload it never saw.
 //
-// Build & run:  ./build/examples/workload_tuning
+// Build & run:  ./build/example_workload_tuning
 
 #include <cstdio>
 

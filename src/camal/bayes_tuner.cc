@@ -36,10 +36,7 @@ void BayesOptTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {
 
   auto random_config = [&]() {
     TuningConfig c;
-    c.policy = options_.tune_policy
-                   ? (rng_.Bernoulli(0.5) ? lsm::CompactionPolicy::kLeveling
-                                          : lsm::CompactionPolicy::kTiering)
-                   : options_.policy;
+    c.policy = options_.policy;
     c.size_ratio = 2.0 + std::floor(rng_.NextDouble() * (t_lim - 1.0));
     if (options_.tune_mc) c.mc_bits = rng_.NextDouble() * 0.4 * m;
     c.mf_bits = std::clamp(rng_.NextDouble() * max_bpk * sys.num_entries, 0.0,

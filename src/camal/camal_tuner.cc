@@ -65,13 +65,11 @@ TuningConfig CamalTuner::RecommendFor(const model::WorkloadSpec& w,
         best = candidate;
       }
     }
-    TuningConfig chosen = best;
     const TuningConfig argmin = ArgminOverGrid(normalized, target);
     if (PredictObjective(normalized, argmin, target) < 0.75 * best_pred) {
-      chosen = argmin;
+      return argmin;
     }
-    ApplyIoDepthRecommendation(normalized, target, &chosen);
-    return chosen;
+    return best;
   }
   // Group this workload's samples by configuration (repeat measurements of
   // the same point — e.g. from the refine rounds — average out) and pick
@@ -103,9 +101,7 @@ TuningConfig CamalTuner::RecommendFor(const model::WorkloadSpec& w,
   }
   // Lemma 5.1: rescale the measured configuration to the target scale.
   const double k = target.num_entries / best->sample->sys.num_entries;
-  TuningConfig scaled = ExtrapolateConfig(best->sample->config, k);
-  ApplyIoDepthRecommendation(normalized, target, &scaled);
-  return scaled;
+  return ExtrapolateConfig(best->sample->config, k);
 }
 
 std::vector<TuningConfig> CamalTuner::CandidateGrid(
@@ -116,85 +112,74 @@ std::vector<TuningConfig> CamalTuner::CandidateGrid(
   const double m = target.total_memory_bits;
   const double min_buf = model::MinBufferBits(target);
   const double max_bpk = MaxBloomBpk(target);
+  const lsm::CompactionPolicy policy = options_.policy;
 
-  std::vector<lsm::CompactionPolicy> policies;
-  if (options_.tune_policy) {
-    policies = {lsm::CompactionPolicy::kLeveling,
-                lsm::CompactionPolicy::kTiering};
-  } else {
-    policies = {options_.policy};
-  }
   std::vector<double> mc_fracs = {0.0};
   if (options_.tune_mc) mc_fracs = {0.0, 0.1, 0.2, 0.3, 0.4};
 
-  std::vector<TuningConfig> grid;
-  for (lsm::CompactionPolicy policy : policies) {
-    TuningConfig defaults;
-    defaults.policy = policy;
-    defaults.mf_bits = std::min(10.0 * n, 0.8 * m);
-    defaults.mb_bits = m - defaults.mf_bits;
+  TuningConfig defaults;
+  defaults.policy = policy;
+  defaults.mf_bits = std::min(10.0 * n, 0.8 * m);
+  defaults.mb_bits = m - defaults.mf_bits;
 
-    double t_star;
+  double t_star;
+  if (policy == lsm::CompactionPolicy::kLeveling) {
+    t_star = model::OptimalSizeRatioLeveling(w, cm);
+  } else {
+    t_star = model::OptimalSizeRatioNumeric(w, cm, defaults.ToModelConfig());
+  }
+  t_star = std::clamp(std::round(std::min(t_star, kTStarCap * t_lim)), 2.0,
+                      t_lim);
+  const double t_cap = std::max(4.0, kTSearchCap * t_lim);
+  const double t_lo = std::max(2.0, std::floor(t_star / kTWindow));
+  const double t_hi = std::min(t_cap, std::ceil(t_star * kTWindow));
+
+  std::vector<double> bpk_values;
+  if (options_.tune_memory) {
+    double bpk_star;
     if (policy == lsm::CompactionPolicy::kLeveling) {
-      t_star = model::OptimalSizeRatioLeveling(w, cm);
+      bpk_star = model::OptimalMfBitsLeveling(w, cm, t_star) / n;
     } else {
-      t_star = model::OptimalSizeRatioNumeric(w, cm, defaults.ToModelConfig());
+      TuningConfig probe = defaults;
+      probe.size_ratio = t_star;
+      bpk_star = model::OptimalMfBitsNumeric(w, cm, probe.ToModelConfig()) / n;
     }
-    t_star = std::clamp(std::round(std::min(t_star, kTStarCap * t_lim)), 2.0,
-                        t_lim);
-    const double t_cap = std::max(4.0, kTSearchCap * t_lim);
-    const double t_lo = std::max(2.0, std::floor(t_star / kTWindow));
-    const double t_hi = std::min(t_cap, std::ceil(t_star * kTWindow));
-
-    std::vector<double> bpk_values;
-    if (options_.tune_memory) {
-      double bpk_star;
-      if (policy == lsm::CompactionPolicy::kLeveling) {
-        bpk_star = model::OptimalMfBitsLeveling(w, cm, t_star) / n;
-      } else {
-        TuningConfig probe = defaults;
-        probe.size_ratio = t_star;
-        bpk_star =
-            model::OptimalMfBitsNumeric(w, cm, probe.ToModelConfig()) / n;
-      }
-      // Window spans the theoretical optimum AND the practical default
-      // (10 bits/key): the closed form can badly underestimate filter
-      // memory when its buffer-size derivative is off (e.g. sparse shallow
-      // levels make small buffers cheap for scans).
-      const double lo =
-          std::max(0.0, std::min(bpk_star, 10.0) - kPruneRadius);
-      const double hi =
-          std::min(max_bpk, std::max(bpk_star, 10.0) + kPruneRadius);
-      for (double bpk = lo; bpk <= hi + 1e-9; bpk += 1.0) {
-        bpk_values.push_back(bpk);
-      }
-    } else {
-      bpk_values.push_back(std::min(10.0, max_bpk));
+    // Window spans the theoretical optimum AND the practical default
+    // (10 bits/key): the closed form can badly underestimate filter
+    // memory when its buffer-size derivative is off (e.g. sparse shallow
+    // levels make small buffers cheap for scans).
+    const double lo = std::max(0.0, std::min(bpk_star, 10.0) - kPruneRadius);
+    const double hi =
+        std::min(max_bpk, std::max(bpk_star, 10.0) + kPruneRadius);
+    for (double bpk = lo; bpk <= hi + 1e-9; bpk += 1.0) {
+      bpk_values.push_back(bpk);
     }
+  } else {
+    bpk_values.push_back(std::min(10.0, max_bpk));
+  }
 
-    for (double t = t_lo; t <= t_hi + 1e-9; t += 1.0) {
-      std::vector<int> k_values = {0};
-      if (options_.k_mode != KTuningMode::kOff) {
-        k_values.clear();
-        for (int k = 1; k <= std::min(8, static_cast<int>(t)); ++k) {
-          k_values.push_back(k);
-        }
+  std::vector<TuningConfig> grid;
+  for (double t = t_lo; t <= t_hi + 1e-9; t += 1.0) {
+    std::vector<int> k_values = {0};
+    if (options_.k_mode != KTuningMode::kOff) {
+      k_values.clear();
+      for (int k = 1; k <= std::min(8, static_cast<int>(t)); ++k) {
+        k_values.push_back(k);
       }
-      for (double bpk : bpk_values) {
-        for (double mc_frac : mc_fracs) {
-          for (int k : k_values) {
-            TuningConfig c;
-            c.policy = policy;
-            c.size_ratio = std::round(t);
-            c.runs_per_level = k;
-            c.mc_bits = mc_frac * m;
-            c.mf_bits =
-                std::clamp(bpk * n, 0.0, m - c.mc_bits - min_buf);
-            if (c.mf_bits < 0.0) continue;
-            c.mb_bits = m - c.mf_bits - c.mc_bits;
-            if (c.mb_bits < min_buf) continue;
-            grid.push_back(c);
-          }
+    }
+    for (double bpk : bpk_values) {
+      for (double mc_frac : mc_fracs) {
+        for (int k : k_values) {
+          TuningConfig c;
+          c.policy = policy;
+          c.size_ratio = std::round(t);
+          c.runs_per_level = k;
+          c.mc_bits = mc_frac * m;
+          c.mf_bits = std::clamp(bpk * n, 0.0, m - c.mc_bits - min_buf);
+          if (c.mf_bits < 0.0) continue;
+          c.mb_bits = m - c.mf_bits - c.mc_bits;
+          if (c.mb_bits < min_buf) continue;
+          grid.push_back(c);
         }
       }
     }
@@ -249,18 +234,9 @@ std::vector<double> CamalTuner::Neighborhood(double center, double lo,
 
 void CamalTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {
   tuned_configs_.clear();
-  std::vector<lsm::CompactionPolicy> policies;
-  if (options_.tune_policy) {
-    policies = {lsm::CompactionPolicy::kLeveling,
-                lsm::CompactionPolicy::kTiering};
-  } else {
-    policies = {options_.policy};
-  }
   const model::SystemParams train_sys = train_setup_.ToModelParams();
   for (const model::WorkloadSpec& w : workloads) {
-    for (lsm::CompactionPolicy policy : policies) {
-      TrainWorkload(w, policy);
-    }
+    TrainWorkload(w);
     // Closing AL iterations: sample the model's current favorite within the
     // pruned window, learn from it, repeat.
     for (int round = 0; round < options_.refine_rounds; ++round) {
@@ -268,15 +244,14 @@ void CamalTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {
       CollectSample(w, candidate);
       RefitModel();
     }
-    // The recommendation for this workload given everything learned so far
-    // (ArgminOverGrid searches across policies when tune_policy is set).
+    // The recommendation for this workload given everything learned so far.
     tuned_configs_.push_back(Recommend(w));
     Checkpoint();
   }
 }
 
-TuningConfig CamalTuner::TrainWorkload(const model::WorkloadSpec& w,
-                                       lsm::CompactionPolicy policy) {
+TuningConfig CamalTuner::TrainWorkload(const model::WorkloadSpec& w) {
+  const lsm::CompactionPolicy policy = options_.policy;
   const model::SystemParams sys = train_setup_.ToModelParams();
   const model::CostModel cm(sys, options_.cost_corrector.get());
   const double t_lim = std::floor(cm.SizeRatioLimit());

@@ -22,8 +22,7 @@ TuningConfig ClassicTuner::RecommendFor(
     const model::WorkloadSpec& w, const model::SystemParams& target) const {
   const model::CostModel cm(target, options_.cost_corrector.get());
   const model::TheoreticalOptimum opt =
-      options_.tune_policy ? model::MinimizeCostOverPolicies(w, cm)
-                           : model::MinimizeCost(w, cm, options_.policy);
+      model::MinimizeCost(w, cm, options_.policy);
   TuningConfig c;
   c.policy = opt.config.policy;
   c.size_ratio = opt.config.size_ratio;

@@ -1,15 +1,10 @@
 #include "camal/evaluator.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <filesystem>
 #include <memory>
 
-#include "camal/memory_arbiter.h"
 #include "engine/file_engine.h"
 #include "engine/sharded_engine.h"
-#include "serve/gateway.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/executor.h"
@@ -34,19 +29,6 @@ engine::IoMode ToIoMode(FileIoMode m) {
   return engine::IoMode::kAuto;
 }
 
-/// Maps the setup-level WAL fsync knob to the engine's policy enum.
-engine::fileio::WalSyncPolicy ToWalSyncPolicy(FileWalSync s) {
-  switch (s) {
-    case FileWalSync::kNone:
-      return engine::fileio::WalSyncPolicy::kNone;
-    case FileWalSync::kBatch:
-      return engine::fileio::WalSyncPolicy::kBatch;
-    case FileWalSync::kAlways:
-      return engine::fileio::WalSyncPolicy::kAlways;
-  }
-  return engine::fileio::WalSyncPolicy::kNone;
-}
-
 }  // namespace
 
 Evaluator::Evaluator(const SystemSetup& setup) : setup_(setup) {
@@ -63,7 +45,6 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
                                uint64_t salt) const {
   // The dataset itself is fixed per setup (same keys for every sample).
   workload::KeySpace keys(setup_.num_entries, setup_.seed);
-  const size_t num_shards = std::max<size_t>(1, setup_.num_shards);
   std::unique_ptr<engine::StorageEngine> owned;
   if (setup_.backend == EngineBackend::kFile) {
     // Real-IO backend: a unique file set per measurement (concurrent
@@ -78,22 +59,16 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
     fcfg.io_mode = ToIoMode(setup_.io_mode);
     fcfg.io_queue_depth = static_cast<uint32_t>(
         std::max(1, setup_.io_queue_depth));
-    // Durability knobs: manifest + WAL writes land outside the counted
-    // cost clocks, so I/O counters stay identical durable on or off.
-    fcfg.durable = setup_.file_durable;
-    fcfg.wal_sync = ToWalSyncPolicy(setup_.file_wal_sync);
-    // Recovery timing reopens this file set after the measured engine
-    // closes, so the measured engine must leave it behind.
-    if (setup_.measure_recovery) fcfg.keep_files = true;
     auto fe = std::make_unique<engine::FileEngine>(
-        num_shards, config.ToOptions(setup_), fcfg);
+        setup_.num_shards, config.ToOptions(setup_), fcfg);
     fe->set_pool(engine_pool_.get());
     owned = std::move(fe);
   } else {
     // One shard is bit-identical to driving the tree directly: shard 0
     // wraps a single tree over a device with exactly this config.
     auto se = std::make_unique<engine::ShardedEngine>(
-        num_shards, config.ToOptions(setup_), setup_.MakeDeviceConfig(salt));
+        setup_.num_shards, config.ToOptions(setup_),
+        setup_.MakeDeviceConfig(salt));
     se->set_pool(engine_pool_.get());
     owned = std::move(se);
   }
@@ -125,72 +100,16 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
   exec.generator.shard_skew = setup_.shard_skew;
   exec.generator.num_shards = eng.NumShards();
   exec.seed = HashCombine(setup_.seed * 31, salt + 1);
-  // Static evaluation can price uneven splits: with arbitration on, the
-  // arbiter rides the batch pipeline as a hook and redistributes shard
-  // budgets mid-measurement, exactly as a serving system would.
-  std::unique_ptr<MemoryArbiter> arbiter;
-  if (setup_.arbitration == ArbitrationMode::kPeriodic && eng.NumShards() > 1) {
-    ArbiterOptions arb_opts;
-    arb_opts.period_ops = setup_.arbiter_period_ops;
-    arbiter = std::make_unique<MemoryArbiter>(
-        setup_, config.ToOptions(setup_), eng.NumShards(), arb_opts);
-    exec.hook = arbiter.get();
-  }
+  const workload::ExecutionResult result =
+      workload::Execute(&eng, workload, exec, &keys);
 
   Measurement m;
   m.build_ns = build_ns;
-  if (setup_.serve_mode == ServeMode::kGateway) {
-    // Open-loop serving: the same generated stream, but requests arrive on
-    // Poisson timestamps and pass through the gateway's per-tenant
-    // admission before reaching the engine. Latency then includes queueing
-    // delay, and overload shows up as a shed rate instead of as a slower
-    // closed loop.
-    serve::GatewayConfig gcfg;
-    gcfg.num_tenants = eng.NumShards();
-    gcfg.max_queue_depth = setup_.gateway_queue_depth;
-    gcfg.admission_control = setup_.gateway_admission;
-    gcfg.rate_limit_ops_per_sec = setup_.gateway_rate_limit_ops_per_sec;
-    gcfg.rate_limit_burst = setup_.gateway_rate_burst;
-    serve::Gateway gateway(&eng, gcfg);
-    // The arbiter rides gateway batch boundaries instead of executor ones.
-    if (arbiter != nullptr) gateway.set_observer(arbiter.get());
-
-    workload::OperationGenerator gen(workload, &keys, exec.generator,
-                                     exec.seed);
-    util::Random arrivals(HashCombine(setup_.seed * 131, salt + 9));
-    double clock_ns = 0.0;
-    for (size_t i = 0; i < num_ops; ++i) {
-      const workload::Operation op = gen.Next();
-      clock_ns -= setup_.gateway_interarrival_ns *
-                  std::log(1.0 - arrivals.NextDouble());
-      const engine::Op engine_op = workload::ToEngineOp(op);
-      gateway.Submit(static_cast<uint32_t>(eng.ShardIndex(engine_op.key)),
-                     engine_op, static_cast<uint64_t>(clock_ns));
-    }
-    gateway.Flush();
-
-    const serve::GatewayStats stats = gateway.StatsSnapshot();
-    m.mean_latency_ns = stats.total_latency_ns.Mean();
-    m.p90_latency_ns = stats.total_latency_ns.Quantile(0.9);
-    m.p99_latency_ns = stats.total_latency_ns.Quantile(0.99);
-    m.ios_per_op = stats.completed == 0
-                       ? 0.0
-                       : static_cast<double>(stats.total_ios) /
-                             static_cast<double>(stats.completed);
-    m.shed_rate = stats.ShedFraction();
-    m.queue_p99_ns = stats.queue_latency_ns.Quantile(0.99);
-    // The run "takes" until the engine finishes its last batch — arrivals
-    // plus queueing, the open-loop makespan.
-    m.run_ns = gateway.engine_free_ns();
-  } else {
-    workload::ExecutionResult result =
-        workload::Execute(&eng, workload, exec, &keys);
-    m.mean_latency_ns = result.MeanLatencyNs();
-    m.p90_latency_ns = result.latency_ns.Quantile(0.9);
-    m.p99_latency_ns = result.latency_ns.Quantile(0.99);
-    m.ios_per_op = result.IosPerOp();
-    m.run_ns = result.total_ns;
-  }
+  m.mean_latency_ns = result.MeanLatencyNs();
+  m.p90_latency_ns = result.latency_ns.Quantile(0.9);
+  m.p99_latency_ns = result.latency_ns.Quantile(0.99);
+  m.ios_per_op = result.IosPerOp();
+  m.run_ns = result.total_ns;
   // Per-channel measured-vs-predicted residuals: the closed-form model's
   // expectation at this (workload, config) against the engine's profiler
   // windows over the query phase just served. Predictions use the
@@ -230,36 +149,6 @@ Measurement Evaluator::Measure(const model::WorkloadSpec& workload,
     }
   }
   m.total_cost_ns = build_ns + m.run_ns;
-  // Crash-free recovery timing: close the measured engine cleanly (WAL
-  // commit + fd close), then time a `reopen=true` construction over the
-  // same file set — manifest replay plus WAL tail replay, no run
-  // rebuilds. The file set is removed afterwards either way.
-  if (setup_.backend == EngineBackend::kFile && setup_.measure_recovery) {
-    const std::string dir =
-        static_cast<engine::FileEngine&>(eng).workdir();
-    arbiter.reset();  // drops the executor hook before its engine goes
-    owned.reset();    // clean close: the measured engine releases `dir`
-    engine::FileEngineConfig rcfg;
-    rcfg.workdir = dir;
-    rcfg.reopen = true;
-    rcfg.wal_sync = ToWalSyncPolicy(setup_.file_wal_sync);
-    rcfg.io_mode = ToIoMode(setup_.io_mode);
-    rcfg.io_queue_depth =
-        static_cast<uint32_t>(std::max(1, setup_.io_queue_depth));
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      engine::FileEngine reopened(num_shards, config.ToOptions(setup_),
-                                  rcfg);
-      m.recovery_ns = static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    // The reopened engine removes its shard subtrees on destruction;
-    // sweep whatever shell of the unique measurement dir remains.
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
   return m;
 }
 

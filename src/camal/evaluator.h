@@ -14,10 +14,9 @@ class ThreadPool;
 
 namespace camal::tune {
 
-/// What one measurement run produced. In closed-loop mode the latency
-/// metrics are pure engine service times; in gateway mode
-/// (`SystemSetup::serve_mode`) they are end-to-end (queueing + service)
-/// and the two gateway-only fields become meaningful.
+/// What one closed-loop measurement run produced. Latencies are engine
+/// service times: the generator submits the next operation as soon as the
+/// previous one finishes.
 struct Measurement {
   double mean_latency_ns = 0.0;
   double p90_latency_ns = 0.0;
@@ -29,11 +28,6 @@ struct Measurement {
   double run_ns = 0.0;
   /// build_ns + run_ns — the cost of obtaining this measurement.
   double total_cost_ns = 0.0;
-  /// Fraction of submitted requests shed by admission control or rate
-  /// limits (gateway mode; 0 in closed loop, where nothing is shed).
-  double shed_rate = 0.0;
-  /// p99 of queueing delay alone (gateway mode; 0 in closed loop).
-  double queue_p99_ns = 0.0;
   /// Measured-vs-predicted per-op I/O by cost channel: `*_predicted` is
   /// the closed-form model's expected I/Os per operation at this
   /// (workload, config); `*_measured` comes from the engine's op-cost
@@ -50,12 +44,6 @@ struct Measurement {
   double write_ios_predicted = 0.0;
   double write_ios_measured = 0.0;
   double write_ios_residual = 0.0;
-  /// Wall-clock ns of a crash-free recovery of the measured file set —
-  /// close cleanly, then reopen with manifest replay + WAL tail replay
-  /// (no run rebuilds). Only populated when
-  /// `SystemSetup::measure_recovery` is on; 0 otherwise. Real time, not
-  /// simulated: it varies run to run like every file-backend latency.
-  double recovery_ns = 0.0;
 };
 
 /// One (workload, config, salt) measurement request for batched

@@ -55,11 +55,11 @@ struct ArbiterOptions {
 /// talks only to the `StorageEngine` surface (`ShardOptionsSnapshot`,
 /// `ShardEntries`, `ReconfigureShard`) — it works unchanged against any
 /// backend, simulated or real-IO. The arbiter is a `workload::BatchObserver`:
-/// attach it to an `ExecutorConfig` (static serving, `Evaluator` with
-/// `SystemSetup::arbitration`) or to a `DynamicTuner` (dynamic serving,
-/// composing with per-shard retunes, which then respect arbitrated
-/// budgets). Not attached — the even split — is the exact pre-arbiter
-/// behavior.
+/// the caller attaches it to an `ExecutorConfig::hook` or a
+/// `serve::Gateway` observer (static serving, as `bench_engine_sharded
+/// --arbiter` does) or to a `DynamicTuner` (dynamic serving, composing
+/// with per-shard retunes, which then respect arbitrated budgets). Not
+/// attached — the even split — is the exact pre-arbiter behavior.
 ///
 /// **Scale.** Budgets live in a two-level hierarchy (group → shard):
 /// shards that have never participated in a rebalance are *implicit* —

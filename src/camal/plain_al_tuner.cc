@@ -26,10 +26,7 @@ TuningConfig PlainAlTuner::RandomConfig(const model::SystemParams& sys) {
   const double m = sys.total_memory_bits;
   const double min_buf = model::MinBufferBits(sys);
   TuningConfig c;
-  c.policy = options_.tune_policy
-                 ? (rng_.Bernoulli(0.5) ? lsm::CompactionPolicy::kLeveling
-                                        : lsm::CompactionPolicy::kTiering)
-                 : options_.policy;
+  c.policy = options_.policy;
   c.size_ratio = 2.0 + std::floor(rng_.NextDouble() * (t_lim - 2.0 + 1.0));
   if (options_.tune_mc) {
     c.mc_bits = rng_.NextDouble() * 0.4 * m;

@@ -83,15 +83,6 @@ util::Status SystemSetup::Validate() const {
     return Status::InvalidArgument(
         "engine_threads must be >= 0 (0 = hardware concurrency)");
   }
-  if (arbitration == ArbitrationMode::kPeriodic && num_shards < 2) {
-    return Status::InvalidArgument(
-        "arbitration = kPeriodic needs num_shards >= 2: there is no "
-        "second tenant to move memory between");
-  }
-  if (arbitration == ArbitrationMode::kPeriodic && arbiter_period_ops == 0) {
-    return Status::InvalidArgument(
-        "arbiter_period_ops must be > 0 with periodic arbitration");
-  }
   if (shard_skew < 0.0) {
     return Status::InvalidArgument("shard_skew must be >= 0");
   }
@@ -117,46 +108,6 @@ util::Status SystemSetup::Validate() const {
   }
   if (io_queue_depth < 1 || io_queue_depth > 1024) {
     return Status::InvalidArgument("io_queue_depth must be in [1, 1024]");
-  }
-  if (backend == EngineBackend::kSim && file_durable) {
-    return Status::InvalidArgument(
-        "file_durable is set but backend is kSim: the simulated backend "
-        "has no files to make durable (did you mean backend = kFile?)");
-  }
-  if (backend == EngineBackend::kSim && file_wal_sync != FileWalSync::kNone) {
-    return Status::InvalidArgument(
-        "file_wal_sync is set but backend is kSim: the simulated backend "
-        "writes no WAL to sync (did you mean backend = kFile?)");
-  }
-  if (!file_durable && file_wal_sync != FileWalSync::kNone) {
-    return Status::InvalidArgument(
-        "file_wal_sync is set but file_durable is off: there is no WAL "
-        "to apply the policy to (set file_durable = true)");
-  }
-  if (measure_recovery && !file_durable) {
-    return Status::InvalidArgument(
-        "measure_recovery needs file_durable: without a manifest + WAL "
-        "there is no recovery path to time (set file_durable = true)");
-  }
-  if (serve_mode == ServeMode::kGateway && gateway_interarrival_ns <= 0.0) {
-    return Status::InvalidArgument(
-        "serve_mode = kGateway needs gateway_interarrival_ns > 0: "
-        "open-loop serving is defined by its arrival rate");
-  }
-  if (serve_mode == ServeMode::kGateway && gateway_admission &&
-      gateway_queue_depth == 0) {
-    return Status::InvalidArgument(
-        "gateway_queue_depth must be >= 1 when admission control is on");
-  }
-  if (gateway_rate_limit_ops_per_sec < 0.0) {
-    return Status::InvalidArgument(
-        "gateway_rate_limit_ops_per_sec must be >= 0");
-  }
-  if (serve_mode == ServeMode::kClosedLoop &&
-      gateway_rate_limit_ops_per_sec > 0.0) {
-    return Status::InvalidArgument(
-        "gateway_rate_limit_ops_per_sec is set but serve_mode is "
-        "kClosedLoop: rate limits only apply to gateway serving");
   }
   return Status::Ok();
 }
@@ -207,7 +158,6 @@ model::ModelConfig TuningConfig::ToModelConfig() const {
   c.mf_bits = mf_bits;
   c.mb_bits = mb_bits;
   c.runs_per_level = runs_per_level;
-  c.io_queue_depth = std::max(1.0, static_cast<double>(io_queue_depth));
   return c;
 }
 

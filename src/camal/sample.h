@@ -15,12 +15,6 @@
 
 namespace camal::tune {
 
-/// Whether (and how) per-tenant memory arbitration runs during serving:
-/// `kOff` keeps the even per-shard split (bit-identical to the
-/// pre-arbiter system); `kPeriodic` redistributes shard budgets by
-/// modeled marginal benefit every `arbiter_period_ops` operations.
-enum class ArbitrationMode { kOff, kPeriodic };
-
 /// Which storage backend measurement runs execute on: `kSim` — the
 /// simulated-device engine (`engine::ShardedEngine`, bit-reproducible,
 /// the default and the basis of every figure) — or `kFile` — the real-IO
@@ -29,26 +23,11 @@ enum class ArbitrationMode { kOff, kPeriodic };
 /// transfer to a real device).
 enum class EngineBackend { kSim, kFile };
 
-/// How measurement runs drive the engine: `kClosedLoop` — the generator
-/// submits the next operation as soon as the previous one finishes
-/// (every figure's historical mode) — or `kGateway` — operations arrive
-/// open-loop on Poisson timestamps and are served through
-/// `serve::Gateway` (per-tenant queues, admission control), so the
-/// measurement includes queueing delay and a shed rate.
-enum class ServeMode { kClosedLoop, kGateway };
-
 /// Read-submission mode of `kFile` measurement engines (mirrors
 /// `engine::IoMode`; the Evaluator maps it through): `kPread` — serial
 /// block reads — `kUring` — io_uring ring submission where supported —
 /// or `kAuto` — ring only when the queue depth asks for overlap.
 enum class FileIoMode { kPread, kUring, kAuto };
-
-/// WAL fsync policy of durable `kFile` measurement engines (mirrors
-/// `engine::fileio::WalSyncPolicy`; the Evaluator maps it through):
-/// `kNone` — never fsync (clean-close durability only) — `kBatch` —
-/// one fsync per committed batch (group commit) — or `kAlways` — fsync
-/// every logged write.
-enum class FileWalSync { kNone, kBatch, kAlways };
 
 /// The experimental scale: data size, memory budget, device, and query
 /// volumes. One SystemSetup corresponds to one "database server" in the
@@ -92,12 +71,6 @@ struct SystemSetup {
   /// when job-level parallelism is exhausted (e.g. a single final
   /// Evaluate, or the dynamic tuner driving one big sharded engine).
   int engine_threads = 1;
-  /// Per-tenant memory arbitration during measurement runs (only
-  /// meaningful with `num_shards` > 1). `kOff` — the default — is
-  /// bit-identical to the pre-arbiter evaluator.
-  ArbitrationMode arbitration = ArbitrationMode::kOff;
-  /// Operations between arbitration rounds (`kPeriodic` mode).
-  size_t arbiter_period_ops = 2048;
   /// Per-shard traffic hotness of generated streams (Zipf over shard
   /// index; see `workload::GeneratorConfig::shard_skew`). 0 = uniform
   /// tenant traffic, today's behavior.
@@ -121,45 +94,10 @@ struct SystemSetup {
   /// (block reads kept in flight per shard; 1 = no overlap). Per-shard
   /// tunings override it through `lsm::Options::io_queue_depth`.
   int io_queue_depth = 1;
-  /// When true, `kFile` measurement engines run with the durability
-  /// subsystem on (per-shard manifest + WAL). Off — the default — is
-  /// bit-identical in I/O counters to the pre-durability evaluator;
-  /// on adds manifest/WAL writes outside the counted cost clocks, so
-  /// counters still match and only wall-clock changes.
-  bool file_durable = false;
-  /// WAL fsync policy of durable `kFile` engines (inert unless
-  /// `file_durable`). `kNone` keeps measurement wall-clock free of
-  /// fsync stalls; `kBatch`/`kAlways` price real durability.
-  FileWalSync file_wal_sync = FileWalSync::kNone;
-  /// When true, each measurement additionally times a crash-free
-  /// recovery: after the measured run the engine closes cleanly, a
-  /// second engine reopens the same file set (`reopen=true`, manifest
-  /// replay + WAL tail replay, no run rebuilds), and the wall-clock of
-  /// that reopen lands in `Measurement::recovery_ns`. Requires
-  /// `file_durable`.
-  bool measure_recovery = false;
-  /// Serving mode of measurement runs. `kClosedLoop` (the default) is
-  /// bit-identical to the pre-gateway evaluator; `kGateway` serves the
-  /// query phase through `serve::Gateway` with open-loop Poisson
-  /// arrivals (see the gateway_* knobs below, all inert in closed loop).
-  ServeMode serve_mode = ServeMode::kClosedLoop;
-  /// Mean inter-arrival gap between requests (whole system) in
-  /// simulated ns; required > 0 in `kGateway` mode.
-  double gateway_interarrival_ns = 0.0;
-  /// Per-tenant queue depth bound (tenants map to engine shards).
-  size_t gateway_queue_depth = 256;
-  /// When false, gateway queues are unbounded (no depth shedding).
-  bool gateway_admission = true;
-  /// Per-tenant token-bucket rate limit in ops per simulated second;
-  /// 0 disables rate limiting.
-  double gateway_rate_limit_ops_per_sec = 0.0;
-  /// Token-bucket burst capacity in ops.
-  size_t gateway_rate_burst = 32;
 
-  /// Checks the knob combination for consistency: arbitration or tenant
-  /// skew without shards to arbitrate/skew across, file-backend knobs on
-  /// the simulated backend, gateway mode without an arrival rate, and
-  /// degenerate scales are all rejected with an explanatory message.
+  /// Checks the knob combination for consistency: tenant skew without
+  /// shards to skew across, file-backend knobs on the simulated backend,
+  /// and degenerate scales are all rejected with an explanatory message.
   /// `Evaluator` and the benches call this instead of silently serving a
   /// setup that cannot mean what the caller intended.
   util::Status Validate() const;
@@ -195,8 +133,8 @@ struct TuningConfig {
   /// SST file size extension knob (0 = one file per run).
   uint64_t file_bytes = 0;
   /// Ring queue depth extension knob (real-IO backend only; 0 = engine
-  /// default, i.e. not tuned). Priced by the cost model's overlap term;
-  /// recommended when `TunerOptions::tune_io_depth` is on.
+  /// default, i.e. not tuned). It moves wall-clock only, never results or
+  /// I/O counts, so the closed-form model does not price it.
   int io_queue_depth = 0;
 
   /// Materializes engine options for the given setup.

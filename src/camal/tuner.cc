@@ -80,15 +80,6 @@ double ModelBackedTuner::MaxBloomBpk(const model::SystemParams& target) const {
   return std::clamp(spare / target.num_entries, 0.0, 16.0);
 }
 
-void ModelBackedTuner::ApplyIoDepthRecommendation(
-    const model::WorkloadSpec& w, const model::SystemParams& target,
-    TuningConfig* c) const {
-  if (!options_.tune_io_depth) return;
-  const model::CostModel cm(target, options_.cost_corrector.get());
-  c->io_queue_depth = cm.RecommendedQueueDepth(
-      w.Normalized(), c->ToModelConfig(), options_.max_io_queue_depth);
-}
-
 std::vector<TuningConfig> ModelBackedTuner::CandidateGrid(
     const model::WorkloadSpec& /*w*/,
     const model::SystemParams& target) const {
@@ -98,13 +89,6 @@ std::vector<TuningConfig> ModelBackedTuner::CandidateGrid(
   const double m = target.total_memory_bits;
   const double max_bpk = MaxBloomBpk(target);
 
-  std::vector<lsm::CompactionPolicy> policies;
-  if (options_.tune_policy) {
-    policies = {lsm::CompactionPolicy::kLeveling,
-                lsm::CompactionPolicy::kTiering};
-  } else {
-    policies = {options_.policy};
-  }
   std::vector<double> mc_fracs = {0.0};
   if (options_.tune_mc) mc_fracs = {0.0, 0.1, 0.2, 0.3, 0.4};
   // With the memory round disabled, only the Monkey default split is
@@ -119,29 +103,27 @@ std::vector<TuningConfig> ModelBackedTuner::CandidateGrid(
   }
 
   std::vector<TuningConfig> grid;
-  for (lsm::CompactionPolicy policy : policies) {
-    for (int t = 2; t <= t_lim; t += (t_lim > 24 ? 2 : 1)) {
-      std::vector<int> k_values = {0};
-      if (options_.k_mode != KTuningMode::kOff) {
-        k_values.clear();
-        const int k_max = std::min(t, 8);
-        for (int k = 1; k <= k_max; ++k) k_values.push_back(k);
-      }
-      for (double bpk : bpk_values) {
-        for (double mc_frac : mc_fracs) {
-          for (int k : k_values) {
-            TuningConfig c;
-            c.policy = policy;
-            c.size_ratio = t;
-            c.runs_per_level = k;
-            c.mc_bits = mc_frac * m;
-            c.mf_bits = std::min(bpk * n, m - c.mc_bits -
-                                              model::MinBufferBits(target));
-            if (c.mf_bits < 0.0) continue;
-            c.mb_bits = m - c.mf_bits - c.mc_bits;
-            if (c.mb_bits < model::MinBufferBits(target)) continue;
-            grid.push_back(c);
-          }
+  for (int t = 2; t <= t_lim; t += (t_lim > 24 ? 2 : 1)) {
+    std::vector<int> k_values = {0};
+    if (options_.k_mode != KTuningMode::kOff) {
+      k_values.clear();
+      const int k_max = std::min(t, 8);
+      for (int k = 1; k <= k_max; ++k) k_values.push_back(k);
+    }
+    for (double bpk : bpk_values) {
+      for (double mc_frac : mc_fracs) {
+        for (int k : k_values) {
+          TuningConfig c;
+          c.policy = options_.policy;
+          c.size_ratio = t;
+          c.runs_per_level = k;
+          c.mc_bits = mc_frac * m;
+          c.mf_bits = std::min(bpk * n, m - c.mc_bits -
+                                            model::MinBufferBits(target));
+          if (c.mf_bits < 0.0) continue;
+          c.mb_bits = m - c.mf_bits - c.mc_bits;
+          if (c.mb_bits < model::MinBufferBits(target)) continue;
+          grid.push_back(c);
         }
       }
     }
@@ -213,20 +195,15 @@ TuningConfig ModelBackedTuner::RecommendFor(
     // Untrained: fall back to the closed-form optimum.
     const model::CostModel cm(target, options_.cost_corrector.get());
     const model::TheoreticalOptimum opt =
-        options_.tune_policy
-            ? model::MinimizeCostOverPolicies(w, cm)
-            : model::MinimizeCost(w, cm, options_.policy);
+        model::MinimizeCost(w, cm, options_.policy);
     TuningConfig c;
     c.policy = opt.config.policy;
     c.size_ratio = opt.config.size_ratio;
     c.mf_bits = opt.config.mf_bits;
     c.mb_bits = opt.config.mb_bits;
-    ApplyIoDepthRecommendation(w, target, &c);
     return c;
   }
-  TuningConfig best = ArgminOverGrid(w, target);
-  ApplyIoDepthRecommendation(w, target, &best);
-  return best;
+  return ArgminOverGrid(w, target);
 }
 
 }  // namespace camal::tune

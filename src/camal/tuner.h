@@ -22,9 +22,6 @@ struct TunerOptions {
   Objective objective = Objective::kMeanLatency;
   /// Base compaction policy searched/tuned.
   lsm::CompactionPolicy policy = lsm::CompactionPolicy::kLeveling;
-  /// When true, both policies enter the search space (doubles CAMAL's
-  /// sampling rounds; baselines just widen their grids).
-  bool tune_policy = false;
   /// When false, the Mb/Mf split round is skipped and the Monkey-style
   /// default split is kept (used by the Figure 6g parameter breakdown).
   bool tune_memory = true;
@@ -34,13 +31,6 @@ struct TunerOptions {
   KTuningMode k_mode = KTuningMode::kOff;
   /// SST file-size extension.
   bool tune_file_size = false;
-  /// When true, recommendations carry an io_uring queue depth derived from
-  /// the cost model's read fan-out (real-IO backend only; the depth never
-  /// changes results or I/O counts, so it needs no sampling rounds of its
-  /// own — it is priced closed-form on top of whatever config wins).
-  bool tune_io_depth = false;
-  /// Largest queue depth `tune_io_depth` may recommend.
-  int max_io_queue_depth = 64;
   /// Neighborhood samples per decoupled round (the paper uses 3).
   int samples_per_round = 3;
   /// Closing active-learning iterations per workload: after the decoupled
@@ -164,15 +154,6 @@ class ModelBackedTuner : public TunerBase {
 
   /// Maximum sensible bits-per-key for Bloom memory at a target scale.
   double MaxBloomBpk(const model::SystemParams& target) const;
-
-  /// When `tune_io_depth` is on, stamps `c` with the queue depth the cost
-  /// model recommends for it (`CostModel::RecommendedQueueDepth`, clamped
-  /// to `max_io_queue_depth`); otherwise leaves `c` untouched. Idempotent —
-  /// the recommendation depends on the config's read fan-out, never on the
-  /// depth already stamped — so every Recommend* return path applies it.
-  void ApplyIoDepthRecommendation(const model::WorkloadSpec& w,
-                                  const model::SystemParams& target,
-                                  TuningConfig* c) const;
 
   SystemSetup full_setup_;
   SystemSetup train_setup_;

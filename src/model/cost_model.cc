@@ -49,45 +49,6 @@ double CostModel::OpCost(const WorkloadSpec& w, const ModelConfig& c) const {
          w.w * Corrected(CostChannel::kWrite, WriteCost(c));
 }
 
-double CostModel::ReadFanout(const WorkloadSpec& w, const ModelConfig& c) const {
-  const double read_weight = w.v + w.r + w.q;
-  if (read_weight <= 0.0) return 1.0;
-  // Per-op independent reads by op type: a zero-result lookup's V reads
-  // land on distinct runs; a non-zero lookup adds the hit block; a range
-  // lookup opens K*L run cursors plus s/B data blocks (the Q formula).
-  const double point_zero = ZeroResultLookupCost(c);
-  const double point_hit = NonZeroResultLookupCost(c);
-  const double range = RangeLookupCost(c);
-  const double fanout =
-      (w.v * point_zero + w.r * point_hit + w.q * range) / read_weight;
-  return std::max(1.0, fanout);
-}
-
-double CostModel::OverlapFactor(const WorkloadSpec& w,
-                                const ModelConfig& c) const {
-  const double depth = std::max(1.0, c.io_queue_depth);
-  return 1.0 / std::min(depth, ReadFanout(w, c));
-}
-
-double CostModel::EffectiveOpCost(const WorkloadSpec& w,
-                                  const ModelConfig& c) const {
-  const double ov = OverlapFactor(w, c);
-  return ov * (w.v * Corrected(CostChannel::kPointLookup,
-                               ZeroResultLookupCost(c)) +
-               w.r * Corrected(CostChannel::kPointLookup,
-                               NonZeroResultLookupCost(c)) +
-               w.q * Corrected(CostChannel::kRangeLookup,
-                               RangeLookupCost(c))) +
-         w.w * Corrected(CostChannel::kWrite, WriteCost(c));
-}
-
-int CostModel::RecommendedQueueDepth(const WorkloadSpec& w,
-                                     const ModelConfig& c,
-                                     int max_depth) const {
-  const int fanout = static_cast<int>(std::llround(ReadFanout(w, c)));
-  return std::clamp(fanout, 1, std::max(1, max_depth));
-}
-
 double CostModel::SizeRatioLimit() const {
   const double t_lim =
       params_.num_entries * params_.entry_bits / params_.total_memory_bits +

@@ -36,11 +36,6 @@ struct ModelConfig {
   /// Generalized runs-per-level K (0 = policy default: 1 leveling,
   /// T tiering). Used only by the extension model.
   double runs_per_level = 0.0;
-  /// Block reads kept in flight on the real-IO backend's ring path
-  /// (FileEngine io_uring). 1 = serial reads, the sim-equivalent default.
-  /// Only the overlap-aware costs (Effective*) consume it — the paper's
-  /// serial I/O counts (V/R/Q/W) are depth-independent by construction.
-  double io_queue_depth = 1.0;
 };
 
 /// Monkey/Dostoevsky-style closed-form expected-I/O model.
@@ -52,13 +47,12 @@ struct ModelConfig {
 class CostModel {
  public:
   /// `corrector`, when non-null, maps each predicted cost term of the
-  /// workload-weighted objectives (`OpCost`, `EffectiveOpCost`) to its
-  /// calibrated measured-cost estimate; not owned, must outlive the model.
-  /// Null (the default) is the identity — bit-for-bit the uncalibrated
-  /// model. The per-operation primitives (V/R/Q/W) and the overlap terms
-  /// stay uncorrected: they are the model's *structural* quantities
-  /// (Bloom-probe fan-out, run counts) that calibration has no measured
-  /// counterpart for.
+  /// workload-weighted objective (`OpCost`) to its calibrated
+  /// measured-cost estimate; not owned, must outlive the model. Null (the
+  /// default) is the identity — bit-for-bit the uncalibrated model. The
+  /// per-operation primitives (V/R/Q/W) stay uncorrected: they are the
+  /// model's *structural* quantities (Bloom-probe fan-out, run counts)
+  /// that calibration has no measured counterpart for.
   explicit CostModel(const SystemParams& params,
                      const CostCorrector* corrector = nullptr)
       : params_(params), corrector_(corrector) {}
@@ -77,33 +71,6 @@ class CostModel {
 
   /// Workload-weighted cost f = vV + rR + qQ + wW (Equation 2).
   double OpCost(const WorkloadSpec& w, const ModelConfig& c) const;
-
-  /// Expected *independent* block reads a read op fans out across — the
-  /// per-op parallelism a submission ring can exploit. Point lookups fan
-  /// over the runs their Bloom probes reach (V, or V+1 with the hit
-  /// block); range lookups touch every run cursor plus s/B data blocks
-  /// (Q). Weighted by the read mix, floored at 1 (a serial op cannot
-  /// overlap with itself). Writes contribute nothing: flush/compaction
-  /// I/O is sequential and stays off the ring.
-  double ReadFanout(const WorkloadSpec& w, const ModelConfig& c) const;
-
-  /// Wall-clock scaling of the read terms under queue depth d: reads
-  /// overlap up to min(d, fanout)-way, so effective read cost divides by
-  /// that factor. 1.0 at depth 1 (the model collapses to OpCost).
-  double OverlapFactor(const WorkloadSpec& w, const ModelConfig& c) const;
-
-  /// Overlap-aware workload-weighted cost: read terms scaled by
-  /// OverlapFactor, write term unscaled (compaction I/O is serial). This
-  /// is the objective that makes queue depth a priced tunable; with
-  /// c.io_queue_depth == 1 it equals OpCost exactly.
-  double EffectiveOpCost(const WorkloadSpec& w, const ModelConfig& c) const;
-
-  /// The queue depth the model recommends: the per-op read fan-out,
-  /// rounded, clamped to [1, max_depth] — depth beyond the fan-out buys
-  /// nothing the model can see (cross-op batching makes this a
-  /// conservative floor, not a ceiling, on real hardware).
-  int RecommendedQueueDepth(const WorkloadSpec& w, const ModelConfig& c,
-                            int max_depth) const;
 
   /// Largest size ratio considered (T_lim: the ratio at which the tree
   /// collapses toward a single level for the smallest sensible buffer).

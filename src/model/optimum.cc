@@ -159,13 +159,4 @@ TheoreticalOptimum MinimizeCost(const WorkloadSpec& w_in,
   return best;
 }
 
-TheoreticalOptimum MinimizeCostOverPolicies(const WorkloadSpec& w,
-                                            const CostModel& model) {
-  const TheoreticalOptimum lev =
-      MinimizeCost(w, model, lsm::CompactionPolicy::kLeveling);
-  const TheoreticalOptimum tier =
-      MinimizeCost(w, model, lsm::CompactionPolicy::kTiering);
-  return lev.cost <= tier.cost ? lev : tier;
-}
-
 }  // namespace camal::model

@@ -44,10 +44,6 @@ double OptimalMfBitsNumeric(const WorkloadSpec& w, const CostModel& model,
 TheoreticalOptimum MinimizeCost(const WorkloadSpec& w, const CostModel& model,
                                 lsm::CompactionPolicy policy);
 
-/// Classic tuning across both compaction policies.
-TheoreticalOptimum MinimizeCostOverPolicies(const WorkloadSpec& w,
-                                            const CostModel& model);
-
 /// Smallest sensible write-buffer size in bits (one block of entries).
 double MinBufferBits(const SystemParams& params);
 

@@ -10,7 +10,6 @@
 
 #include "camal/classic_tuner.h"
 #include "camal/dynamic_tuner.h"
-#include "camal/evaluator.h"
 #include "camal/memory_arbiter.h"
 #include "camal/sample.h"
 #include "engine/sharded_engine.h"
@@ -204,33 +203,6 @@ TEST(MemoryArbiterTest, DegenerateBudgetGuardHoldsBudgets) {
   for (uint64_t bits : arbiter.budget_bits()) {
     EXPECT_EQ(bits, arbiter.budget_bits()[0]);
   }
-}
-
-TEST(MemoryArbiterTest, EvaluatorArbitrationKnob) {
-  // kOff is the construction-default (bit-identical trivially); kPeriodic
-  // under skewed tenant traffic must actually change the measurement —
-  // budgets moved mid-run — while staying deterministic.
-  SystemSetup setup = MediumSetup();
-  setup.num_shards = 4;
-  setup.shard_skew = 1.0;
-  setup.eval_ops = 6000;
-  setup.arbiter_period_ops = 1000;
-  const Evaluator off_eval(setup);
-
-  setup.arbitration = ArbitrationMode::kPeriodic;
-  const Evaluator on_eval(setup);
-
-  const model::WorkloadSpec w{0.2, 0.3, 0.2, 0.3};
-  const TuningConfig config = MonkeyDefaultConfig(setup);
-  const Measurement off = off_eval.Evaluate(w, config);
-  const Measurement on_a = on_eval.Evaluate(w, config);
-  const Measurement on_b = on_eval.Evaluate(w, config);
-
-  EXPECT_EQ(on_a.mean_latency_ns, on_b.mean_latency_ns);  // deterministic
-  EXPECT_EQ(on_a.ios_per_op, on_b.ios_per_op);
-  EXPECT_NE(on_a.mean_latency_ns, off.mean_latency_ns);  // budgets moved
-  EXPECT_GT(on_a.mean_latency_ns, 0.0);
-  EXPECT_GT(on_a.p99_latency_ns, 0.0);
 }
 
 TEST(MemoryArbiterTest, ComposesWithDynamicTunerRetunes) {

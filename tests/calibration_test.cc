@@ -61,10 +61,8 @@ TEST(ResidualCorrectorTest, UnfittedCorrectorIsBitIdentical) {
                                        {0.7, 0.1, 0.1, 0.1},
                                        {0.05, 0.05, 0.0, 0.9}};
   for (const model::WorkloadSpec& w : mixes) {
-    for (model::ModelConfig c : ConfigSweep(params)) {
+    for (const model::ModelConfig& c : ConfigSweep(params)) {
       EXPECT_EQ(plain.OpCost(w, c), attached.OpCost(w, c));
-      c.io_queue_depth = 8.0;
-      EXPECT_EQ(plain.EffectiveOpCost(w, c), attached.EffectiveOpCost(w, c));
     }
   }
 }

@@ -151,77 +151,6 @@ TEST(CostModelTest, OpCostIsWeightedSum) {
   EXPECT_NEAR(cm.OpCost(w, c), expected, 1e-12);
 }
 
-TEST(CostModelTest, ReadFanoutIsReadMixWeightedAndFloored) {
-  CostModel cm(Params());
-  const ModelConfig c = Leveled(10.0, 100000, 200000);
-  const WorkloadSpec w{0.2, 0.3, 0.1, 0.4};
-  const double expected = (0.2 * cm.ZeroResultLookupCost(c) +
-                           0.3 * cm.NonZeroResultLookupCost(c) +
-                           0.1 * cm.RangeLookupCost(c)) /
-                          0.6;
-  EXPECT_NEAR(cm.ReadFanout(w, c), std::max(1.0, expected), 1e-12);
-  // Write-only workloads have nothing to overlap: fan-out floors at 1.
-  EXPECT_DOUBLE_EQ(cm.ReadFanout(WorkloadSpec{0.0, 0.0, 0.0, 1.0}, c), 1.0);
-  // More range reads -> more independent blocks per op.
-  EXPECT_GT(cm.ReadFanout(WorkloadSpec{0.0, 0.1, 0.9, 0.0}, c),
-            cm.ReadFanout(WorkloadSpec{0.0, 0.9, 0.1, 0.0}, c));
-}
-
-TEST(CostModelTest, OverlapFactorBoundsAndMonotonicity) {
-  CostModel cm(Params());
-  ModelConfig c = Leveled(10.0, 100000, 200000);
-  const WorkloadSpec w{0.1, 0.2, 0.4, 0.3};
-  // Depth 1 never scales anything.
-  c.io_queue_depth = 1.0;
-  EXPECT_DOUBLE_EQ(cm.OverlapFactor(w, c), 1.0);
-  // Deeper rings help monotonically, bounded below by 1/fanout: depth
-  // beyond the per-op fan-out buys nothing the model can see.
-  double prev = 1.0;
-  for (double depth : {2.0, 4.0, 8.0, 64.0, 1024.0}) {
-    c.io_queue_depth = depth;
-    const double ov = cm.OverlapFactor(w, c);
-    EXPECT_LE(ov, prev) << "depth " << depth;
-    EXPECT_GE(ov, 1.0 / cm.ReadFanout(w, c) - 1e-12) << "depth " << depth;
-    prev = ov;
-  }
-  c.io_queue_depth = 1024.0;
-  EXPECT_NEAR(cm.OverlapFactor(w, c), 1.0 / cm.ReadFanout(w, c), 1e-12);
-}
-
-TEST(CostModelTest, EffectiveOpCostCollapsesToOpCostAtDepthOne) {
-  CostModel cm(Params());
-  ModelConfig c = Leveled(8.0, 200000, 200000);
-  const WorkloadSpec w{0.25, 0.25, 0.25, 0.25};
-  c.io_queue_depth = 1.0;
-  EXPECT_DOUBLE_EQ(cm.EffectiveOpCost(w, c), cm.OpCost(w, c));
-  // At depth d only the read terms shrink; the write term is serial
-  // compaction I/O and must survive unscaled.
-  c.io_queue_depth = 16.0;
-  const double ov = cm.OverlapFactor(w, c);
-  const double expected = ov * (0.25 * cm.ZeroResultLookupCost(c) +
-                                0.25 * cm.NonZeroResultLookupCost(c) +
-                                0.25 * cm.RangeLookupCost(c)) +
-                          0.25 * cm.WriteCost(c);
-  EXPECT_NEAR(cm.EffectiveOpCost(w, c), expected, 1e-12);
-  EXPECT_LT(cm.EffectiveOpCost(w, c), cm.OpCost(w, c));
-}
-
-TEST(CostModelTest, RecommendedQueueDepthTracksFanoutAndClamps) {
-  CostModel cm(Params());
-  const ModelConfig c = Leveled(10.0, 0.0, 128000);
-  // Scan-heavy mix: fan-out ~= Q, well above 1.
-  const WorkloadSpec scans{0.0, 0.0, 1.0, 0.0};
-  const int fanout =
-      static_cast<int>(std::llround(cm.ReadFanout(scans, c)));
-  EXPECT_EQ(cm.RecommendedQueueDepth(scans, c, 64), fanout);
-  EXPECT_EQ(cm.RecommendedQueueDepth(scans, c, 2), 2);  // clamped above
-  // Write-only: never recommend overlap that cannot materialize.
-  EXPECT_EQ(cm.RecommendedQueueDepth(WorkloadSpec{0.0, 0.0, 0.0, 1.0}, c, 64),
-            1);
-  // A degenerate max_depth still yields a usable depth.
-  EXPECT_EQ(cm.RecommendedQueueDepth(scans, c, 0), 1);
-}
-
 TEST(CostModelTest, SizeRatioLimitClamped) {
   SystemParams p = Params();
   CostModel cm(p);
@@ -320,10 +249,14 @@ TEST(OptimumTest, PolicyChoiceFollowsWorkload) {
   // Write-dominant workloads favor tiering; range-dominant favor leveling.
   WorkloadSpec writes{0.01, 0.01, 0.01, 0.97};
   WorkloadSpec ranges{0.01, 0.01, 0.97, 0.01};
-  EXPECT_EQ(MinimizeCostOverPolicies(writes, cm).config.policy,
-            lsm::CompactionPolicy::kTiering);
-  EXPECT_EQ(MinimizeCostOverPolicies(ranges, cm).config.policy,
-            lsm::CompactionPolicy::kLeveling);
+  const auto cost = [&cm](const WorkloadSpec& w,
+                          lsm::CompactionPolicy policy) {
+    return MinimizeCost(w, cm, policy).cost;
+  };
+  EXPECT_LT(cost(writes, lsm::CompactionPolicy::kTiering),
+            cost(writes, lsm::CompactionPolicy::kLeveling));
+  EXPECT_LT(cost(ranges, lsm::CompactionPolicy::kLeveling),
+            cost(ranges, lsm::CompactionPolicy::kTiering));
 }
 
 TEST(OptimumTest, MemorySplitExhaustsBudget) {

@@ -572,33 +572,6 @@ TEST(FileEngineTest, EvaluatorMeasuresOnFileBackend) {
   EXPECT_DOUBLE_EQ(m.ios_per_op, m2.ios_per_op);
 }
 
-TEST(FileEngineTest, EvaluatorTimesRecoveryWhenAsked) {
-  // measure_recovery: the evaluator closes the measured engine cleanly,
-  // times a reopen=true recovery of the same file set, and removes the
-  // files afterwards. The timing is real wall-clock (positive, noisy);
-  // the measurement itself is unchanged.
-  tune::SystemSetup setup = FileSetup(3000, 2);
-  setup.file_durable = true;
-  setup.file_wal_sync = tune::FileWalSync::kNone;
-  setup.measure_recovery = true;
-  const tune::Evaluator evaluator(setup);
-  const model::WorkloadSpec mix{0.25, 0.25, 0.25, 0.25};
-  const tune::Measurement m = evaluator.Measure(
-      mix, tune::MonkeyDefaultConfig(setup), /*num_ops=*/1200, /*salt=*/2);
-  EXPECT_GT(m.recovery_ns, 0.0);
-  EXPECT_GT(m.ios_per_op, 0.0);
-
-  // Off by default: no recovery pass, no timing.
-  tune::SystemSetup plain = FileSetup(3000, 2);
-  const tune::Evaluator plain_eval(plain);
-  const tune::Measurement p = plain_eval.Measure(
-      mix, tune::MonkeyDefaultConfig(plain), /*num_ops=*/1200, /*salt=*/2);
-  EXPECT_EQ(p.recovery_ns, 0.0);
-  // The durability knobs never change what is measured: deterministic
-  // I/O counts match between durable and plain measurements.
-  EXPECT_DOUBLE_EQ(m.ios_per_op, p.ios_per_op);
-}
-
 TEST(FileEngineTest, SimRecommendedTuningTransfersToFileBackend) {
   // The sim-vs-real smoke of the ROADMAP: the closed-form model's
   // recommended tuning — derived entirely on the simulated cost model —

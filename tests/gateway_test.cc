@@ -3,8 +3,7 @@
 // engine pool size), exact token-bucket accounting, the guarantee that
 // shed requests never reach the engine, producer-side concurrency safety
 // (run under TSan in CI), the typed BatchEvent surface, the arbiter
-// riding gateway batch boundaries, SystemSetup::Validate, and the
-// Evaluator's gateway serving mode.
+// riding gateway batch boundaries.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "camal/evaluator.h"
 #include "camal/memory_arbiter.h"
 #include "camal/sample.h"
 #include "engine/sharded_engine.h"
@@ -405,111 +403,6 @@ TEST(GatewayTest, ArbiterRidesGatewayBatchBoundaries) {
     total += arbiter.BudgetBits(s);
   }
   EXPECT_EQ(total, arbiter.total_bits());
-}
-
-TEST(SystemSetupValidateTest, RejectsInconsistentKnobCombinations) {
-  using tune::SystemSetup;
-  const auto expect_invalid = [](SystemSetup setup) {
-    const util::Status status = setup.Validate();
-    EXPECT_FALSE(status.ok());
-    EXPECT_FALSE(status.message().empty());
-  };
-
-  EXPECT_TRUE(SystemSetup{}.Validate().ok());
-
-  SystemSetup s = SmallSetup();
-  EXPECT_TRUE(s.Validate().ok());
-
-  s = SmallSetup(1);
-  s.arbitration = tune::ArbitrationMode::kPeriodic;
-  expect_invalid(s);  // nothing to arbitrate with one shard
-
-  s = SmallSetup();
-  s.arbitration = tune::ArbitrationMode::kPeriodic;
-  s.arbiter_period_ops = 0;
-  expect_invalid(s);
-
-  s = SmallSetup(1);
-  s.shard_skew = 1.0;
-  expect_invalid(s);  // no hot/cold shards to bias between
-
-  s = SmallSetup();
-  s.file_workdir = "/tmp/somewhere";
-  expect_invalid(s);  // file knob on the sim backend
-
-  s = SmallSetup();
-  s.serve_mode = tune::ServeMode::kGateway;
-  expect_invalid(s);  // gateway without an arrival rate
-
-  s = SmallSetup();
-  s.serve_mode = tune::ServeMode::kGateway;
-  s.gateway_interarrival_ns = 500.0;
-  s.gateway_queue_depth = 0;
-  expect_invalid(s);  // admission on with a zero depth bound
-
-  s = SmallSetup();
-  s.gateway_rate_limit_ops_per_sec = 1e6;
-  expect_invalid(s);  // rate limit without gateway serving
-
-  s = SmallSetup();
-  s.num_entries = 0;
-  expect_invalid(s);
-
-  // num_shards range: zero shards and counts past the 16M ceiling are
-  // both units mistakes, rejected with a message; the ceiling itself is
-  // a legal (if enormous) fleet.
-  s = SmallSetup();
-  s.num_shards = 0;
-  expect_invalid(s);
-
-  s = SmallSetup();
-  s.num_shards = SystemSetup::kMaxShards + 1;
-  expect_invalid(s);
-
-  s = SmallSetup();
-  s.num_shards = SystemSetup::kMaxShards;
-  EXPECT_TRUE(s.Validate().ok());
-
-  // The valid gateway combination passes.
-  s = SmallSetup();
-  s.serve_mode = tune::ServeMode::kGateway;
-  s.gateway_interarrival_ns = 500.0;
-  EXPECT_TRUE(s.Validate().ok());
-}
-
-TEST(EvaluatorGatewayTest, GatewayModeMeasuresDeterministically) {
-  tune::SystemSetup setup = SmallSetup();
-  setup.train_ops = 1500;
-  setup.eval_ops = 1500;
-  setup.serve_mode = tune::ServeMode::kGateway;
-  setup.gateway_interarrival_ns = 2000.0;
-  setup.gateway_queue_depth = 32;
-  const tune::Evaluator evaluator(setup);
-  const model::WorkloadSpec mix{0.2, 0.3, 0.2, 0.3};
-  const tune::TuningConfig config = tune::MonkeyDefaultConfig(setup);
-
-  const tune::Measurement a = evaluator.Evaluate(mix, config, 1);
-  const tune::Measurement b = evaluator.Evaluate(mix, config, 1);
-  EXPECT_EQ(a.mean_latency_ns, b.mean_latency_ns);  // bit-exact repeat
-  EXPECT_EQ(a.p99_latency_ns, b.p99_latency_ns);
-  EXPECT_EQ(a.ios_per_op, b.ios_per_op);
-  EXPECT_EQ(a.shed_rate, b.shed_rate);
-  EXPECT_EQ(a.queue_p99_ns, b.queue_p99_ns);
-
-  EXPECT_GT(a.mean_latency_ns, 0.0);
-  EXPECT_GE(a.shed_rate, 0.0);
-  EXPECT_LE(a.shed_rate, 1.0);
-  EXPECT_GE(a.queue_p99_ns, 0.0);
-  // End-to-end latency includes queueing, so the open-loop mean can never
-  // undercut a closed-loop measurement of the same stream.
-  tune::SystemSetup closed = setup;
-  closed.serve_mode = tune::ServeMode::kClosedLoop;
-  closed.gateway_interarrival_ns = 0.0;
-  const tune::Measurement c =
-      tune::Evaluator(closed).Evaluate(mix, config, 1);
-  EXPECT_GE(a.mean_latency_ns, 0.5 * c.mean_latency_ns);
-  EXPECT_EQ(c.shed_rate, 0.0);
-  EXPECT_EQ(c.queue_p99_ns, 0.0);
 }
 
 }  // namespace

@@ -61,57 +61,85 @@ TEST(TuningConfigTest, ToOptionsMapsBitsToBytes) {
   EXPECT_TRUE(opts.Validate().ok());
 }
 
-TEST(TuningConfigTest, IoQueueDepthFlowsToOptionsAndModel) {
+TEST(TuningConfigTest, IoQueueDepthFlowsToOptions) {
   SystemSetup setup;
   TuningConfig c = MonkeyDefaultConfig(setup);
-  // Untuned (0): options inherit the engine default, the model prices
-  // serial reads.
+  // Untuned (0): options inherit the engine default.
   EXPECT_EQ(c.ToOptions(setup).io_queue_depth, 0);
-  EXPECT_DOUBLE_EQ(c.ToModelConfig().io_queue_depth, 1.0);
   c.io_queue_depth = 16;
   EXPECT_EQ(c.ToOptions(setup).io_queue_depth, 16);
-  EXPECT_DOUBLE_EQ(c.ToModelConfig().io_queue_depth, 16.0);
   EXPECT_NE(c.ToString().find("qd=16"), std::string::npos);
 }
 
-TEST(SystemSetupTest, RejectsUringKnobsOnSimBackend) {
-  SystemSetup setup;
-  EXPECT_TRUE(setup.Validate().ok());
-  setup.io_mode = FileIoMode::kUring;
-  EXPECT_FALSE(setup.Validate().ok());
-  setup.io_mode = FileIoMode::kAuto;
-  setup.io_queue_depth = 8;
-  EXPECT_FALSE(setup.Validate().ok());
-  // The same knobs are legal on the real-IO backend...
-  setup.backend = EngineBackend::kFile;
-  setup.io_mode = FileIoMode::kUring;
-  EXPECT_TRUE(setup.Validate().ok());
-  // ...but the depth range is still enforced.
-  setup.io_queue_depth = 0;
-  EXPECT_FALSE(setup.Validate().ok());
-  setup.io_queue_depth = 2000;
-  EXPECT_FALSE(setup.Validate().ok());
-}
+TEST(SystemSetupTest, ValidateRejectsInconsistentKnobs) {
+  // One case per Validate rule: degenerate scales, the shard range, tenant
+  // skew without tenants, and file-backend knobs on the sim backend.
+  const auto expect_invalid = [](const SystemSetup& s) {
+    const util::Status status = s.Validate();
+    EXPECT_FALSE(status.ok());
+    EXPECT_FALSE(status.message().empty());
+  };
+  EXPECT_TRUE(SystemSetup{}.Validate().ok());
 
-TEST(TunerOptionsTest, TuneIoDepthStampsRecommendations) {
-  // Closed-form fallback path (untrained model): the recommendation must
-  // carry the cost model's depth when the knob is on, and stay at the
-  // untuned default when off.
-  SystemSetup setup = TinySetup();
-  TunerOptions off;
-  TunerOptions opts;
-  opts.tune_io_depth = true;
-  opts.max_io_queue_depth = 32;
-  const model::WorkloadSpec scans{0.0, 0.1, 0.8, 0.1};
-  CamalTuner tuned(setup, opts);
-  const TuningConfig rec = tuned.Recommend(scans);
-  const model::CostModel cm(setup.ToModelParams());
-  EXPECT_EQ(rec.io_queue_depth,
-            cm.RecommendedQueueDepth(scans.Normalized(), rec.ToModelConfig(),
-                                     opts.max_io_queue_depth));
-  EXPECT_GT(rec.io_queue_depth, 1);  // scan-heavy mixes fan out widely
-  CamalTuner untouched(setup, off);
-  EXPECT_EQ(untouched.Recommend(scans).io_queue_depth, 0);
+  SystemSetup s;
+  s.num_entries = 0;
+  expect_invalid(s);
+  s = SystemSetup{};
+  s.entry_bytes = 0;
+  expect_invalid(s);
+  s = SystemSetup{};
+  s.total_memory_bits = 0;
+  expect_invalid(s);
+  s = SystemSetup{};
+  s.train_ops = 0;
+  expect_invalid(s);
+  s = SystemSetup{};
+  s.eval_ops = 0;
+  expect_invalid(s);
+  s = SystemSetup{};
+  s.engine_threads = -1;
+  expect_invalid(s);
+
+  // num_shards range: zero shards and counts past the 16M ceiling are
+  // both units mistakes; the ceiling itself is a legal (if enormous)
+  // fleet.
+  s = SystemSetup{};
+  s.num_shards = 0;
+  expect_invalid(s);
+  s.num_shards = SystemSetup::kMaxShards + 1;
+  expect_invalid(s);
+  s.num_shards = SystemSetup::kMaxShards;
+  EXPECT_TRUE(s.Validate().ok());
+
+  // Tenant skew needs a second shard to bias traffic toward.
+  s = SystemSetup{};
+  s.shard_skew = 1.0;
+  expect_invalid(s);  // no hot/cold shards to bias between
+  s.num_shards = 4;
+  EXPECT_TRUE(s.Validate().ok());
+  s.shard_skew = -0.5;
+  expect_invalid(s);
+
+  // File-backend knobs are rejected on the sim backend...
+  s = SystemSetup{};
+  s.file_workdir = "/tmp/somewhere";
+  expect_invalid(s);
+  s = SystemSetup{};
+  s.io_mode = FileIoMode::kUring;
+  expect_invalid(s);
+  s.io_mode = FileIoMode::kAuto;
+  s.io_queue_depth = 8;
+  expect_invalid(s);
+  // ...and legal on the real-IO backend...
+  s.backend = EngineBackend::kFile;
+  s.io_mode = FileIoMode::kUring;
+  s.file_workdir = "/tmp/somewhere";
+  EXPECT_TRUE(s.Validate().ok());
+  // ...where the depth range is still enforced.
+  s.io_queue_depth = 0;
+  expect_invalid(s);
+  s.io_queue_depth = 2000;
+  expect_invalid(s);
 }
 
 TEST(TuningConfigTest, MonkeyDefaultSumsToBudget) {
