@@ -141,6 +141,26 @@ void BM_ShardedGetHit(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedGetHit)->Arg(1)->Arg(4)->Arg(16);
 
+// The same gets as BM_ShardedGetHit, each submitted as a one-op
+// ExecuteOps batch: the gap between the two is the batched path's fixed
+// cost (partition, per-op cost attribution, profiling).
+void BM_ShardedExecuteOpsGet(benchmark::State& state) {
+  const auto shards = static_cast<size_t>(state.range(0));
+  camal::engine::ShardedEngine eng(shards, DefaultOptions(), QuietDevice());
+  for (uint64_t k = 1; k <= 40000; ++k) eng.Put(2 * k, k);
+  camal::util::Random rng(2);
+  camal::engine::Op op;
+  camal::engine::OpResult result;
+  for (auto _ : state) {
+    op.key = 2 * (1 + rng.Uniform(40000));
+    eng.ExecuteOps(&op, 1, &result);
+    benchmark::DoNotOptimize(result.found);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["shards"] = static_cast<double>(shards);
+}
+BENCHMARK(BM_ShardedExecuteOpsGet)->Arg(1)->Arg(4)->Arg(16);
+
 void BM_ShardedScan(benchmark::State& state) {
   const auto shards = static_cast<size_t>(state.range(0));
   camal::engine::ShardedEngine eng(shards, DefaultOptions(), QuietDevice());

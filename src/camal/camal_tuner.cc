@@ -250,7 +250,7 @@ void CamalTuner::Train(const std::vector<model::WorkloadSpec>& workloads) {
   }
 }
 
-TuningConfig CamalTuner::TrainWorkload(const model::WorkloadSpec& w) {
+void CamalTuner::TrainWorkload(const model::WorkloadSpec& w) {
   const lsm::CompactionPolicy policy = options_.policy;
   const model::SystemParams sys = train_setup_.ToModelParams();
   const model::CostModel cm(sys, options_.cost_corrector.get());
@@ -348,7 +348,7 @@ TuningConfig CamalTuner::TrainWorkload(const model::WorkloadSpec& w) {
 
   // ---------------- Round 2: memory split Mf vs Mb.
   if (!options_.tune_memory) {
-    return cur;  // Figure 6g "+T" stage: keep the default memory split.
+    return;  // Figure 6g "+T" stage: keep the default memory split.
   }
   double mf_star;
   if (policy == lsm::CompactionPolicy::kLeveling) {
@@ -480,8 +480,6 @@ TuningConfig CamalTuner::TrainWorkload(const model::WorkloadSpec& w) {
     }
     cur.file_bytes = best_fb;
   }
-
-  return cur;
 }
 
 }  // namespace camal::tune

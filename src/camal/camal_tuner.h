@@ -66,9 +66,10 @@ class CamalTuner : public ModelBackedTuner {
                                             double t_lim) const;
 
  private:
-  /// Runs all decoupled rounds for one workload under `options_.policy`;
-  /// returns the tuned configuration (at training scale).
-  TuningConfig TrainWorkload(const model::WorkloadSpec& w);
+  /// Runs all decoupled rounds for one workload under `options_.policy`,
+  /// adding their samples to the training set and refitting the model
+  /// (`Recommend` then picks from the fitted model).
+  void TrainWorkload(const model::WorkloadSpec& w);
 
   /// Integer neighborhood of `center` within [lo, hi], at most
   /// `samples_per_round` distinct values spread +-2 around the center.

@@ -220,8 +220,8 @@ struct FileEngine::Shard final : public ShardStore {
   bool Get(uint64_t key, uint64_t* value) override;
   size_t Scan(uint64_t start_key, size_t max_entries,
               std::vector<lsm::Entry>* out) override;
-  void RunOps(const Op* ops, const std::vector<size_t>& list,
-              OpResult* results, ScanProbe* probes) override;
+  void RunOps(const Op* ops, const size_t* list, size_t n, OpResult* results,
+              ScanProbe* probes) override;
   void Flush() override;
   void Reconfigure(const lsm::Options& opts) override;
   bool ReconfigureFrozen(const lsm::Options& opts) override;
@@ -1039,7 +1039,8 @@ void ExecuteGetWindow(FileEngine::Shard& sh, const FileEngineConfig& cfg,
 
 /// Shard-local range scan: merges the memtable with run cursors
 /// (newest wins, tombstones suppress), appending up to `max_entries` live
-/// entries to `out`. Block fetches are cache-aware real reads.
+/// entries to `out` (a null `out` only counts them, with the same reads).
+/// Block fetches are cache-aware real reads.
 size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
                    uint64_t start_key, size_t max_entries,
                    std::vector<lsm::Entry>* out) {
@@ -1106,7 +1107,7 @@ size_t DoScanShard(FileEngine::Shard& sh, const FileEngineConfig& cfg,
         if (newest) {
           const lsm::Entry e = entry_at(s);
           if (!e.tombstone) {
-            out->push_back(e);
+            if (out != nullptr) out->push_back(e);
             ++added;
           }
         }
@@ -1371,12 +1372,10 @@ size_t FileEngine::Shard::Scan(uint64_t start_key, size_t max_entries,
   return n;
 }
 
-void FileEngine::Shard::RunOps(const Op* ops,
-                               const std::vector<size_t>& list,
+void FileEngine::Shard::RunOps(const Op* ops, const size_t* list, size_t n,
                                OpResult* results, ScanProbe* probes) {
   const FileEngineConfig& cfg = owner.config_;
-  std::vector<lsm::Entry> found;
-  for (size_t li = 0; li < list.size();) {
+  for (size_t li = 0; li < n;) {
     const size_t i = list[li];
     const Op& op = ops[i];
     // Ring path: a maximal run of consecutive gets becomes one overlapped
@@ -1385,17 +1384,18 @@ void FileEngine::Shard::RunOps(const Op* ops,
     // exactly as on the pread path.
     if (ring != nullptr && op.kind == OpKind::kGet) {
       size_t end = li + 1;
-      while (end < list.size() && ops[list[end]].kind == OpKind::kGet) ++end;
-      ExecuteGetWindow(*this, cfg, ops, list.data() + li, end - li, results);
+      while (end < n && ops[list[end]].kind == OpKind::kGet) ++end;
+      ExecuteGetWindow(*this, cfg, ops, list + li, end - li, results);
       li = end;
       continue;
     }
     ++li;
     if (op.kind == OpKind::kScan) {
-      found.clear();
+      // Only the hit count is reported: the scan counts without copying.
       probes->before = clock.Snapshot();
       const double t0 = NowNs();
-      probes->hits = DoScanShard(*this, cfg, op.key, op.scan_len, &found);
+      probes->hits =
+          DoScanShard(*this, cfg, op.key, op.scan_len, /*out=*/nullptr);
       clock.elapsed_ns += NowNs() - t0;
       probes->after = clock.Snapshot();
       ++probes;

@@ -8,35 +8,44 @@
 
 namespace camal::engine {
 
+namespace {
+
+/// `util::ParallelFor` over [0, n). The callable is passed by reference, so
+/// the `std::function` it becomes holds one pointer in place: the inline
+/// fan-out allocates nothing, however much `fn` captures.
+template <typename Fn>
+void FanOut(util::ThreadPool* pool, size_t n, const Fn& fn) {
+  util::ParallelFor(pool, 0, n, [&fn](size_t k) { fn(k); });
+}
+
+}  // namespace
+
 size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
-                           size_t max_entries, std::vector<lsm::Entry>* out) {
-  // Min-heap of (head key, slice index); each pop advances one slice
-  // cursor and may re-push that slice's next head.
-  struct Head {
-    uint64_t key;
-    size_t slice;
-  };
-  const auto greater = [](const Head& a, const Head& b) {
+                           size_t max_entries, std::vector<lsm::Entry>* out,
+                           std::vector<SliceHead>* heap) {
+  // Min-heap of slice heads; each pop emits one entry and advances that
+  // slice's head in place (re-pushed while the slice has entries left).
+  const auto greater = [](const SliceHead& a, const SliceHead& b) {
     return a.key > b.key;
   };
-  std::vector<Head> heap;
-  heap.reserve(slices.size());
-  std::vector<size_t> idx(slices.size(), 0);
+  heap->clear();
   for (size_t s = 0; s < slices.size(); ++s) {
-    if (!slices[s].empty()) heap.push_back(Head{slices[s][0].key, s});
+    if (!slices[s].empty()) heap->push_back(SliceHead{slices[s][0].key, s, 0});
   }
-  std::make_heap(heap.begin(), heap.end(), greater);
+  std::make_heap(heap->begin(), heap->end(), greater);
 
   size_t added = 0;
-  while (added < max_entries && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), greater);
-    const size_t s = heap.back().slice;
-    heap.pop_back();
-    out->push_back(slices[s][idx[s]++]);
+  while (added < max_entries && !heap->empty()) {
+    std::pop_heap(heap->begin(), heap->end(), greater);
+    SliceHead& head = heap->back();
+    const std::vector<lsm::Entry>& slice = slices[head.slice];
+    out->push_back(slice[head.pos]);
     ++added;
-    if (idx[s] < slices[s].size()) {
-      heap.push_back(Head{slices[s][idx[s]].key, s});
-      std::push_heap(heap.begin(), heap.end(), greater);
+    if (++head.pos < slice.size()) {
+      head.key = slice[head.pos].key;
+      std::push_heap(heap->begin(), heap->end(), greater);
+    } else {
+      heap->pop_back();
     }
   }
   return added;
@@ -100,9 +109,13 @@ const ShardHost::Slot* ShardHost::Live(size_t s) const {
 }
 
 ShardStore* ShardHost::Materialize(size_t s) {
+  return MaterializeSlot(s).store.get();
+}
+
+ShardHost::Slot& ShardHost::MaterializeSlot(size_t s) {
   CAMAL_CHECK(s < num_shards_);
   Slot& slot = slots_[s];
-  if (slot.state == ShardState::kMaterialized) return slot.store.get();
+  if (slot.state == ShardState::kMaterialized) return slot;
   if (slot.store == nullptr) slot.store = NewStore(s);
   ShardStore* store = slot.store.get();
   if (slot.state == ShardState::kHibernated) {
@@ -115,7 +128,7 @@ ShardStore* ShardHost::Materialize(size_t s) {
   }
   slot.state = ShardState::kMaterialized;
   resident_.insert(s);
-  return store;
+  return slot;
 }
 
 void ShardHost::AdoptStore(size_t s, std::unique_ptr<ShardStore> store,
@@ -159,10 +172,20 @@ void ShardHost::WakeAllHibernated() {
 
 void ShardHost::Touch(size_t s) {
   if (lifecycle_.hibernate_after_batches == 0) return;
-  Slot& slot = slots_.at(s);
+  TouchSlot(s, slots_.at(s));
+}
+
+void ShardHost::TouchSlot(size_t s, Slot& slot) {
+  if (lifecycle_.hibernate_after_batches == 0) return;
   if (slot.last_touch_epoch == epoch_) return;
   slot.last_touch_epoch = epoch_;
   idle_queue_.emplace_back(s, epoch_);
+}
+
+void ShardHost::AddList(Slot& slot) {
+  slot.list = static_cast<uint32_t>(batch_.stores.size());
+  slot.list_epoch = epoch_;
+  batch_.stores.push_back(slot.store.get());
 }
 
 void ShardHost::HibernateIdleShards() {
@@ -216,96 +239,109 @@ size_t ShardHost::Scan(uint64_t start_key, size_t max_entries,
   // cold shards are skipped (an empty shard contributes nothing and
   // charges nothing).
   WakeAllHibernated();
-  const std::vector<size_t> probed(resident_.begin(), resident_.end());
-  std::vector<ShardStore*> stores(probed.size());
-  for (size_t k = 0; k < probed.size(); ++k) {
-    Touch(probed[k]);
-    stores[k] = slots_.at(probed[k]).store.get();
+  BatchScratch& b = batch_;
+  b.stores.clear();
+  for (size_t s : resident_) {
+    Slot& slot = slots_.at(s);
+    TouchSlot(s, slot);
+    b.stores.push_back(slot.store.get());
   }
 
   // Scatter: each resident shard contributes up to max_entries of its own
   // sorted, live entries (keys are hash-partitioned, so shard slices are
-  // disjoint). Each probe touches only its own store, so the fan-out is
-  // deterministic; workers never touch the slot map.
-  std::vector<std::vector<lsm::Entry>> slices(probed.size());
-  util::ParallelFor(pool_, 0, probed.size(), [&](size_t k) {
-    stores[k]->Scan(start_key, max_entries, &slices[k]);
+  // disjoint). Each probe touches only its own store and slice, so the
+  // fan-out is deterministic; workers never touch the slot map.
+  b.slices.resize(b.stores.size());
+  FanOut(pool_, b.stores.size(), [&b, start_key, max_entries](size_t k) {
+    b.slices[k].clear();
+    b.stores[k]->Scan(start_key, max_entries, &b.slices[k]);
   });
 
   // Gather: binary-heap k-way merge of the disjoint sorted slices.
-  return MergeDisjointSlices(slices, max_entries, out);
+  return MergeDisjointSlices(b.slices, max_entries, out, &b.heap);
 }
 
 void ShardHost::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
   if (count == 0) return;
   ++epoch_;
+  BatchScratch& b = batch_;
 
   // Pass 1: bring every shard this batch drives to the materialized state.
   // Scans additionally wake all hibernated shards — their data
   // participates in every range probe — while cold shards stay cold
   // (probing an empty shard returns nothing and charges nothing, so
   // skipping them is identical to the eager engine probing them).
-  bool has_scan = false;
+  b.op_slot.resize(count);
+  b.scan_op.clear();
   for (size_t i = 0; i < count; ++i) {
     if (ops[i].kind == OpKind::kScan) {
-      has_scan = true;
+      b.op_slot[i] = nullptr;
+      b.scan_op.push_back(i);
     } else {
       const size_t s = ShardIndex(ops[i].key);
-      Materialize(s);
-      Touch(s);
+      Slot& slot = MaterializeSlot(s);
+      TouchSlot(s, slot);
+      b.op_slot[i] = &slot;  // slot addresses survive map growth
     }
   }
-  if (has_scan) WakeAllHibernated();
+  const size_t num_scans = b.scan_op.size();
 
   // Pass 2: partition the batch into per-shard operation lists in
   // submission order: point ops go to their routed shard, a scan probe
   // appears in every resident shard's list. Each list is exactly the op
   // subsequence its shard would serve under serial execution, so running
   // the lists concurrently (shard state is fully shard-local) reproduces
-  // the serial results with no barrier inside the batch.
-  std::vector<size_t> list_shard;  // list index -> shard id
-  std::vector<std::vector<size_t>> lists;
-  std::unordered_map<size_t, size_t> list_of;
-  if (has_scan) {
+  // the serial results with no barrier inside the batch. A slot carries
+  // its list index for this batch's epoch, so no lookup table is built.
+  b.stores.clear();
+  if (num_scans > 0) {
     // The probe set is the resident set after pass 1, ascending — every
     // point shard of this batch is already in it, so no list is created
-    // below, list_shard stays sorted (the gather relies on it) and every
-    // list holds every scan.
-    list_shard.assign(resident_.begin(), resident_.end());
-    lists.resize(list_shard.size());
-    list_of.reserve(2 * list_shard.size());
-    for (size_t k = 0; k < list_shard.size(); ++k) {
-      list_of.emplace(list_shard[k], k);
-      Touch(list_shard[k]);
+    // below, the lists stay in shard order (the gather relies on it) and
+    // every list holds every scan.
+    WakeAllHibernated();
+    for (size_t s : resident_) {
+      Slot& slot = slots_.at(s);
+      TouchSlot(s, slot);
+      AddList(slot);
     }
   }
-  std::vector<size_t> scan_op;  // scan j -> op index
   for (size_t i = 0; i < count; ++i) {
-    if (ops[i].kind == OpKind::kScan) {
-      scan_op.push_back(i);
-      for (auto& list : lists) list.push_back(i);
+    Slot* slot = b.op_slot[i];
+    if (slot != nullptr && slot->list_epoch != epoch_) AddList(*slot);
+  }
+
+  // Flat lists by counting sort: size each list (its point ops plus every
+  // scan), turn the sizes into end offsets, then place ops last to first
+  // so each list keeps submission order and offsets[k] ends at its start.
+  const size_t num_lists = b.stores.size();
+  b.offsets.assign(num_lists + 1, 0);
+  for (size_t i = 0; i < count; ++i) {
+    if (b.op_slot[i] != nullptr) ++b.offsets[b.op_slot[i]->list];
+  }
+  size_t total = 0;
+  for (size_t k = 0; k < num_lists; ++k) {
+    total += b.offsets[k] + num_scans;
+    b.offsets[k] = total;
+  }
+  b.offsets[num_lists] = total;
+  b.order.resize(total);
+  for (size_t i = count; i-- > 0;) {
+    if (b.op_slot[i] != nullptr) {
+      b.order[--b.offsets[b.op_slot[i]->list]] = i;
     } else {
-      const size_t s = ShardIndex(ops[i].key);
-      const auto [it, inserted] = list_of.try_emplace(s, lists.size());
-      if (inserted) {
-        lists.emplace_back();
-        list_shard.push_back(s);
-      }
-      lists[it->second].push_back(i);
+      for (size_t k = 0; k < num_lists; ++k) b.order[--b.offsets[k]] = i;
     }
   }
 
   // List k records its j-th scan probe at probes[k * num_scans + j], so
-  // concurrent lists write disjoint elements. Stores are resolved before
-  // the fan-out: workers must never touch the slot map.
-  const size_t num_scans = scan_op.size();
-  std::vector<ScanProbe> probes(num_scans * lists.size());
-  std::vector<ShardStore*> stores(lists.size());
-  for (size_t k = 0; k < lists.size(); ++k) {
-    stores[k] = slots_.at(list_shard[k]).store.get();
-  }
-  util::ParallelFor(pool_, 0, lists.size(), [&](size_t k) {
-    stores[k]->RunOps(ops, lists[k], results, probes.data() + k * num_scans);
+  // concurrent lists write disjoint elements. Stores were resolved above:
+  // workers must never touch the slot map.
+  b.probes.resize(num_scans * num_lists);
+  FanOut(pool_, num_lists, [&b, ops, results, num_scans](size_t k) {
+    b.stores[k]->RunOps(ops, b.order.data() + b.offsets[k],
+                        b.offsets[k + 1] - b.offsets[k], results,
+                        b.probes.data() + k * num_scans);
   });
 
   // Deterministic gather for the scans: sum the per-shard snapshots in
@@ -315,14 +351,14 @@ void ShardHost::ExecuteOps(const Op* ops, size_t count, OpResult* results) {
   for (size_t j = 0; j < num_scans; ++j) {
     sim::DeviceSnapshot total_before, total_after;
     size_t hits = 0;
-    for (size_t k = 0; k < lists.size(); ++k) {
-      const ScanProbe& probe = probes[k * num_scans + j];
+    for (size_t k = 0; k < num_lists; ++k) {
+      const ScanProbe& probe = b.probes[k * num_scans + j];
       total_before += probe.before;
       total_after += probe.after;
       hits += probe.hits;
     }
     const sim::DeviceSnapshot delta = total_after.Delta(total_before);
-    const size_t i = scan_op[j];
+    const size_t i = b.scan_op[j];
     OpResult r;
     r.latency_ns = delta.elapsed_ns;
     r.ios = delta.TotalIos();

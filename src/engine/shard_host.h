@@ -21,14 +21,24 @@ class ThreadPool;
 
 namespace camal::engine {
 
+/// A slice's entry in `MergeDisjointSlices`'s heap: the slice's next key
+/// and its position in the slice.
+struct SliceHead {
+  uint64_t key = 0;
+  size_t slice = 0;
+  size_t pos = 0;
+};
+
 /// Gathers per-shard sorted slices into one globally sorted stream of up
 /// to `max_entries` entries via a binary-heap k-way merge: O(total·log k)
 /// instead of a linear min-scan's O(total·k). Keys across slices must be
 /// pairwise disjoint (hash partitioning guarantees it), so no tie-break
-/// is needed and the output order is unique. `ShardHost::Scan` gathers
-/// through this.
+/// is needed and the output order is unique. `heap` is caller-owned
+/// scratch (its contents on entry are ignored), so a caller that keeps it
+/// merges without allocating. `ShardHost::Scan` gathers through this.
 size_t MergeDisjointSlices(const std::vector<std::vector<lsm::Entry>>& slices,
-                           size_t max_entries, std::vector<lsm::Entry>* out);
+                           size_t max_entries, std::vector<lsm::Entry>* out,
+                           std::vector<SliceHead>* heap);
 
 /// One shard's range probe of a batched scan: the shard's cost clock just
 /// before and just after the probe, and the live entries it produced.
@@ -72,12 +82,13 @@ class ShardStore {
   virtual size_t Scan(uint64_t start_key, size_t max_entries,
                       std::vector<lsm::Entry>* out) = 0;
 
-  /// Runs this shard's ordered sub-batch: `list` holds indices into `ops`
-  /// in submission order. A point op writes `results[i]`; the j-th scan of
-  /// the list records its probe in `probes[j]` (a scan's result sums the
-  /// probes of every shard, so the host gathers it). Called once per list,
-  /// so the per-op loop has no virtual call.
-  virtual void RunOps(const Op* ops, const std::vector<size_t>& list,
+  /// Runs this shard's ordered sub-batch: `list[0..n)` holds indices into
+  /// `ops` in submission order. A point op writes `results[i]`; the j-th
+  /// scan of the list records its probe in `probes[j]` (a scan's result
+  /// sums the probes of every shard, so the host gathers it). Called once
+  /// per list, so the per-op loop has no virtual call; a list runs on one
+  /// worker, so store-owned scratch needs no lock.
+  virtual void RunOps(const Op* ops, const size_t* list, size_t n,
                       OpResult* results, ScanProbe* probes) = 0;
 
   /// Drains buffered writes to disk (no-op when empty).
@@ -137,7 +148,10 @@ class ShardStore {
 /// submission order. A scan's cost is gathered by summing the per-probe
 /// before/after clock snapshots in ascending shard order and diffing the
 /// totals — the serial-equivalent cost. All bookkeeping is
-/// O(ops + resident), never O(total shards).
+/// O(ops + resident), never O(total shards), and lives in host-owned
+/// scratch that is reused across calls: a warm batch allocates nothing.
+/// The calling thread writes the scratch before the fan-out; workers only
+/// read their list and write their own probe slots, slices and results.
 class ShardHost : public StorageEngine {
  public:
   ShardHost(const ShardHost&) = delete;
@@ -252,11 +266,36 @@ class ShardHost : public StorageEngine {
   struct Slot {
     std::unique_ptr<ShardStore> store;
     ShardState state = ShardState::kCold;
+    /// The shard's operation list in the batch of `list_epoch` (valid only
+    /// while `list_epoch` equals the host's epoch).
+    uint32_t list = 0;
+    uint64_t list_epoch = ~uint64_t{0};
     uint64_t last_touch_epoch = ~uint64_t{0};  // sentinel: never touched
+  };
+
+  /// Scratch of `ExecuteOps` and `Scan`, kept across calls so a warm call
+  /// allocates nothing. Lists are flat: list k (run by `stores[k]`) is
+  /// `order[offsets[k], offsets[k + 1])`, op indices in submission order.
+  struct BatchScratch {
+    std::vector<ShardStore*> stores;       // list k -> its store
+    std::vector<Slot*> op_slot;            // op i -> its slot (null: scan)
+    std::vector<size_t> scan_op;           // scan j -> op index
+    std::vector<size_t> offsets;
+    std::vector<size_t> order;
+    std::vector<ScanProbe> probes;         // [k * scans + j]
+    std::vector<std::vector<lsm::Entry>> slices;  // direct scan, per list
+    std::vector<SliceHead> heap;           // direct scan gather
   };
 
   /// The slot of a materialized or hibernated shard, else null.
   const Slot* Live(size_t s) const;
+
+  /// `Materialize` returning the slot.
+  Slot& MaterializeSlot(size_t s);
+  /// `Touch` with the slot already looked up.
+  void TouchSlot(size_t s, Slot& slot);
+  /// Makes `slot`'s shard the next operation list of the current batch.
+  void AddList(Slot& slot);
 
   void Hibernate(size_t s);
   /// Wakes every hibernated shard (scans: their data must be probed).
@@ -282,6 +321,7 @@ class ShardHost : public StorageEngine {
   std::deque<std::pair<size_t, uint64_t>> idle_queue_;
   uint64_t epoch_ = 0;
   util::ThreadPool* pool_ = nullptr;
+  BatchScratch batch_;
 };
 
 }  // namespace camal::engine

@@ -45,16 +45,17 @@ class SimShardStore final : public ShardStore {
     return tree_->Scan(start_key, max_entries, out);
   }
 
-  void RunOps(const Op* ops, const std::vector<size_t>& list,
-              OpResult* results, ScanProbe* probes) override {
+  void RunOps(const Op* ops, const size_t* list, size_t n, OpResult* results,
+              ScanProbe* probes) override {
     lsm::LsmTree* tree = tree_.get();
-    std::vector<lsm::Entry> scratch;
-    for (size_t i : list) {
+    for (const size_t* it = list; it != list + n; ++it) {
+      const size_t i = *it;
       const Op& op = ops[i];
       if (op.kind == OpKind::kScan) {
-        scratch.clear();
+        // A batched scan reports only its hit count: the tree counts the
+        // entries without copying them.
         probes->before = device_.Snapshot();
-        probes->hits = tree->Scan(op.key, op.scan_len, &scratch);
+        probes->hits = tree->Scan(op.key, op.scan_len, /*out=*/nullptr);
         probes->after = device_.Snapshot();
         ++probes;
         continue;

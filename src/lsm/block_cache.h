@@ -2,6 +2,7 @@
 #define CAMAL_LSM_BLOCK_CACHE_H_
 
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <type_traits>
 #include <unordered_map>
@@ -67,6 +68,13 @@ class BasicBlockCache {
   /// Inserts a block as most-recently-used, evicting the least-recently-used
   /// block if full. An already resident key is promoted and its payload
   /// replaced.
+  ///
+  /// On a full cache the victim's nodes are recycled rather than freed and
+  /// reallocated: its list node moves to the front and takes the new key
+  /// and payload (the old payload is released), and its hash node is
+  /// re-keyed through a node handle. The outcome — MRU order, residency,
+  /// counters — is the same as inserting and then evicting, with no heap
+  /// allocation.
   void Insert(uint64_t key, Payload payload = Payload()) {
     if (capacity_ == 0) return;
     auto it = map_.find(key);
@@ -75,13 +83,25 @@ class BasicBlockCache {
       if constexpr (kHasPayload) it->second->second = std::move(payload);
       return;
     }
+    if (map_.size() == capacity_) {
+      auto hash_node = map_.extract(KeyOf(lru_.back()));
+      lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
+      if constexpr (kHasPayload) {
+        lru_.front().first = key;
+        lru_.front().second = std::move(payload);
+      } else {
+        lru_.front() = key;
+      }
+      hash_node.key() = key;  // still maps to the (moved) list node
+      map_.insert(std::move(hash_node));
+      return;
+    }
     if constexpr (kHasPayload) {
       lru_.emplace_front(key, std::move(payload));
     } else {
       lru_.push_front(key);
     }
     map_[key] = lru_.begin();
-    EvictToCapacity();
   }
 
   /// Changes capacity; evicts immediately if shrinking.

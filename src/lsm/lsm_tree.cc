@@ -88,19 +88,14 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
   // runs ordered newest-to-oldest. Nothing writes the memtable during the
   // scan, and its tombstones shadow run entries through the merge's
   // `newest` flag however far into the scan they reach.
-  struct Cursor {
-    const Run* run = nullptr;  // null for the memtable source
-    size_t idx = 0;
-    size_t end = 0;
-    int64_t last_block = -1;
-  };
   Memtable::Table::const_iterator mem = memtable_.LowerBound(start_key);
-  std::vector<Cursor> cursors(1);
+  std::vector<ScanCursor>& cursors = scan_cursors_;
+  cursors.assign(1, ScanCursor{});
   const int deepest = levels_.DeepestNonEmpty();
   for (int level = 0; level <= deepest; ++level) {
     const auto& runs = levels_.At(static_cast<size_t>(level));
     for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
-      Cursor c;
+      ScanCursor c;
       c.run = it->get();
       device_->ChargeCpu(cfg.cpu_run_probe_ns);
       c.idx = c.run->FirstGeq(start_key, device_);
@@ -110,7 +105,7 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
   }
 
   auto entry_at = [&](size_t s) -> const Entry& {
-    const Cursor& c = cursors[s];
+    const ScanCursor& c = cursors[s];
     return c.run != nullptr ? c.run->entry(c.idx) : mem->second;
   };
 
@@ -118,12 +113,12 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
   MergeNewestFirst(
       cursors.size(), [&] { return added < max_entries; },
       [&](size_t s) {
-        const Cursor& c = cursors[s];
+        const ScanCursor& c = cursors[s];
         return c.run != nullptr ? c.idx < c.end : mem != memtable_.end();
       },
       [&](size_t s) { return entry_at(s).key; },
       [&](size_t s, bool newest) {
-        Cursor& c = cursors[s];
+        ScanCursor& c = cursors[s];
         device_->ChargeCpu(cfg.cpu_iter_next_ns);
         if (c.run != nullptr) {
           // Charge the block this entry lives in when the cursor enters it.
@@ -135,7 +130,7 @@ size_t LsmTree::Scan(uint64_t start_key, size_t max_entries,
         }
         const Entry& e = entry_at(s);
         if (newest && !e.tombstone) {
-          out->push_back(e);
+          if (out != nullptr) out->push_back(e);
           ++added;
         }
         if (c.run != nullptr) {

@@ -83,6 +83,7 @@ class LsmTree {
 
   /// Range lookup: appends up to `max_entries` live entries with
   /// key >= start_key, in key order, to `out`. Returns how many were added.
+  /// A null `out` counts them without copying (the charges are the same).
   size_t Scan(uint64_t start_key, size_t max_entries, std::vector<Entry>* out);
 
   /// Forces the write buffer to disk (no-op when empty).
@@ -140,6 +141,14 @@ class LsmTree {
   /// `output_level`, charging compaction I/O and CPU.
   RunPtr MergeLevelIntoRun(size_t level_idx, size_t output_level);
 
+  /// One source of a range scan: a run, or the memtable (null `run`).
+  struct ScanCursor {
+    const Run* run = nullptr;
+    size_t idx = 0;
+    size_t end = 0;
+    int64_t last_block = -1;
+  };
+
   Options options_;
   sim::Device* device_;
   BlockCache cache_;
@@ -148,6 +157,8 @@ class LsmTree {
   TreeCounters counters_;
   uint64_t next_run_id_ = 1;
   bool transition_active_ = false;
+  /// `Scan`'s cursors, kept so a warm scan allocates nothing.
+  std::vector<ScanCursor> scan_cursors_;
 };
 
 }  // namespace camal::lsm

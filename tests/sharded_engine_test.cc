@@ -394,10 +394,11 @@ TEST(MergeDisjointSlicesTest, MatchesSortOnOverlappingKeyRanges) {
               return a.key < b.key;
             });
 
+  std::vector<SliceHead> heap;  // reused: stale heads must not leak in
   for (const size_t cap : {size_t{0}, size_t{1}, size_t{63}, size_t{4000},
                            size_t{100000}}) {
     std::vector<lsm::Entry> got;
-    const size_t n = MergeDisjointSlices(slices, cap, &got);
+    const size_t n = MergeDisjointSlices(slices, cap, &got, &heap);
     EXPECT_EQ(n, got.size());
     ASSERT_EQ(got.size(), std::min(cap, expected.size())) << "cap=" << cap;
     for (size_t i = 0; i < got.size(); ++i) {
